@@ -1,5 +1,6 @@
 //! Emits `BENCH_server.json`: end-to-end server throughput over loopback
-//! TCP, threaded vs. evented transport, N pipelined client connections.
+//! TCP and a UNIX-domain socket, N pipelined client connections, for a
+//! pure-query and a mixed multi-namespace workload.
 //!
 //! ```console
 //! $ cargo run --release -p shbf-bench --bin bench_server -- \
@@ -7,8 +8,8 @@
 //! ```
 //!
 //! Every client round byte-compares its replies against precomputed
-//! expectations, so the numbers are only reported when both transports
-//! answered every query identically.
+//! expectations, so a number is only reported when the server answered
+//! every command exactly.
 
 use shbf_bench::server_bench::{run, ServerBenchConfig};
 
@@ -16,7 +17,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: bench_server [--clients N] [--depth N] [--m-bits BITS] \
          [--shards N] [--keys N] [--probes N] [--measure-ms MS] [--seed S] \
-         [--min-speedup X] [--out PATH]"
+         [--out PATH]"
     );
     std::process::exit(2);
 }
@@ -24,7 +25,6 @@ fn usage() -> ! {
 fn main() {
     let mut cfg = ServerBenchConfig::default();
     let mut out: Option<String> = None;
-    let mut min_speedup: Option<f64> = None;
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut i = 0;
     while i < args.len() {
@@ -38,7 +38,6 @@ fn main() {
             "--probes" => cfg.probes = value().parse().unwrap_or_else(|_| usage()),
             "--measure-ms" => cfg.measure_ms = value().parse().unwrap_or_else(|_| usage()),
             "--seed" => cfg.seed = value().parse().unwrap_or_else(|_| usage()),
-            "--min-speedup" => min_speedup = Some(value().parse().unwrap_or_else(|_| usage())),
             "--out" => out = Some(value()),
             _ => usage(),
         }
@@ -47,34 +46,23 @@ fn main() {
 
     eprintln!(
         "bench_server: {} clients x depth {}, m = {} bits / {} shards, \
-         {} keys, {} probes, {} ms per transport",
+         {} keys, {} probes, {} ms per measurement",
         cfg.clients, cfg.depth, cfg.m_bits, cfg.shards, cfg.keys, cfg.probes, cfg.measure_ms
     );
     let (result, json) = run(&cfg);
-    println!(
-        "{:>16} {:>16} {:>14}",
-        "transport", "queries/sec", "queries"
-    );
-    for t in &result.transports {
-        println!("{:>16} {:>16.0} {:>14}", t.name, t.ops_per_sec, t.ops);
+    println!("{:>16} {:>16} {:>14}", "socket", "commands/sec", "commands");
+    for (label, points) in [
+        ("pure QUERY pipeline:", &result.query),
+        (
+            "mixed workload (4 namespaces, MQUERY + QUERY + INSERT/DELETE churn):",
+            &result.mixed,
+        ),
+    ] {
+        println!("{label}");
+        for p in points {
+            println!("{:>16} {:>16.0} {:>14}", p.socket, p.ops_per_sec, p.ops);
+        }
     }
-    println!(
-        "{:>16} {:>15.2}x",
-        "speedup", result.speedup_evented_vs_threaded
-    );
-    println!("mixed workload (4 namespaces, MQUERY + QUERY + INSERT/DELETE churn):");
-    for p in &result.mixed {
-        println!(
-            "{:>16} {:>16.0} {:>14}",
-            format!("{}/{}", p.transport, p.socket),
-            p.ops_per_sec,
-            p.ops
-        );
-    }
-    println!(
-        "{:>16} {:>15.2}x",
-        "mixed speedup", result.mixed_speedup_evented_vs_threaded
-    );
     if let Some(path) = &out {
         std::fs::write(path, &json).unwrap_or_else(|e| {
             eprintln!("bench_server: cannot write {path}: {e}");
@@ -83,14 +71,5 @@ fn main() {
         eprintln!("bench_server: wrote {path}");
     } else {
         print!("{json}");
-    }
-    if let Some(min) = min_speedup {
-        if result.speedup_evented_vs_threaded < min {
-            eprintln!(
-                "bench_server: speedup {:.2}x below required {min:.2}x",
-                result.speedup_evented_vs_threaded
-            );
-            std::process::exit(1);
-        }
     }
 }

@@ -5,19 +5,18 @@
 //! precomputed expectations (a transport that corrupted, reordered, or
 //! dropped one reply fails the run instead of posting a number):
 //!
-//! 1. **Pure pipelined queries** (the PR-4 headline): N client threads,
-//!    each keeping `depth` pipelined `QUERY` commands in flight against
-//!    one bulk-loaded `shbf-m` namespace, threaded vs. evented transport
-//!    over loopback TCP. Isolates per-reply `write`+`flush` syscalls and
-//!    per-connection threads (threaded) vs. vectored batch writes and a
-//!    few event loops (evented).
+//! 1. **Pure pipelined queries**: N client threads, each keeping
+//!    `depth` pipelined `QUERY` commands in flight against one
+//!    bulk-loaded `shbf-m` namespace — coalesced `QUERY` runs, vectored
+//!    batch writes and a few event loops.
 //! 2. **Mixed multi-namespace churn**: every round pipelines `MQUERY` +
 //!    `QUERY` runs against two static namespaces interleaved with
 //!    `INSERT`/`DELETE` churn on two more — ≥4 namespaces, verb switches
-//!    breaking the evented transport's query batching at realistic
-//!    points — measured on both transports × both socket families (TCP
-//!    and UNIX-domain). Churn keys are insert-before-delete per client,
-//!    so expected replies stay exact under interleaving.
+//!    breaking the reactor's query batching at realistic points. Churn
+//!    keys are insert-before-delete per client, so expected replies stay
+//!    exact under interleaving.
+//!
+//! Both workloads run over loopback TCP and a UNIX-domain socket.
 //!
 //! The namespaces use the one-shot family so hashing is off the critical
 //! path and the transport dominates.
@@ -28,7 +27,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use shbf_hash::splitmix64;
-use shbf_server::{Client, Endpoint, Engine, Server, ServerConfig, ServerHandle, TransportKind};
+use shbf_server::{Client, Endpoint, Engine, Server, ServerConfig, ServerHandle};
 
 /// Configuration for [`run`].
 #[derive(Debug, Clone)]
@@ -84,32 +83,9 @@ impl SocketKind {
     }
 }
 
-fn transport_name(t: TransportKind) -> &'static str {
-    match t {
-        TransportKind::Threaded => "threaded",
-        TransportKind::Evented => "evented",
-    }
-}
-
-/// One transport's pure-query measurement.
+/// One workload measured over one socket family.
 #[derive(Debug, Clone)]
-pub struct TransportPoint {
-    /// `threaded` / `evented`.
-    pub name: &'static str,
-    /// Total queries answered per second across all clients.
-    pub ops_per_sec: f64,
-    /// Total queries answered inside the window.
-    pub ops: u64,
-    /// Positive verdicts in one probe-list pass (behavioural
-    /// fingerprint; must agree across transports).
-    pub positives: u64,
-}
-
-/// One transport × socket measurement of the mixed workload.
-#[derive(Debug, Clone)]
-pub struct MixedPoint {
-    /// `threaded` / `evented`.
-    pub transport: &'static str,
+pub struct Point {
     /// `tcp` / `unix`.
     pub socket: &'static str,
     /// Commands answered per second across all clients.
@@ -121,14 +97,13 @@ pub struct MixedPoint {
 /// The whole run.
 #[derive(Debug, Clone)]
 pub struct ServerBenchResult {
-    /// Pure-query workload: threaded then evented (loopback TCP).
-    pub transports: Vec<TransportPoint>,
-    /// Evented ops/s over threaded ops/s on the pure-query workload.
-    pub speedup_evented_vs_threaded: f64,
-    /// Mixed multi-namespace workload across transport × socket.
-    pub mixed: Vec<MixedPoint>,
-    /// Evented-TCP over threaded-TCP ops/s on the mixed workload.
-    pub mixed_speedup_evented_vs_threaded: f64,
+    /// Pure-query workload, one point per socket family.
+    pub query: Vec<Point>,
+    /// Positive verdicts in one probe-list pass of the pure-query
+    /// workload (behavioural fingerprint; the same on every socket).
+    pub positives: u64,
+    /// Mixed multi-namespace workload, one point per socket family.
+    pub mixed: Vec<Point>,
 }
 
 pub(crate) fn key_token(i: u64, seed: u64) -> String {
@@ -146,15 +121,10 @@ pub(crate) struct Block {
 
 static UNIX_SOCKET_COUNTER: AtomicU64 = AtomicU64::new(0);
 
-fn start_server(
-    cfg: &ServerBenchConfig,
-    transport: TransportKind,
-    socket: SocketKind,
-) -> (ServerHandle, Endpoint) {
+fn start_server(cfg: &ServerBenchConfig, socket: SocketKind) -> (ServerHandle, Endpoint) {
     let engine = Arc::new(Engine::new());
     let config = ServerConfig {
         max_connections: cfg.clients + 8,
-        transport,
         ..ServerConfig::default()
     };
     let server = match socket {
@@ -333,7 +303,8 @@ fn setup_mixed(cfg: &ServerBenchConfig, endpoint: &Endpoint) -> Vec<Block> {
         }
         push(mquery, &mreply, &mut ops);
 
-        // Adjacent QUERY run on the second namespace (evented batches it).
+        // Adjacent QUERY run on the second namespace (the reactor batches
+        // it).
         for j in 0..2 {
             let i = q1(j);
             push(
@@ -446,72 +417,68 @@ pub(crate) fn drive_clients_multi(
     (total_ops.load(Ordering::Relaxed), elapsed)
 }
 
-fn measure_query(cfg: &ServerBenchConfig, transport: TransportKind) -> TransportPoint {
-    let (handle, endpoint) = start_server(cfg, transport, SocketKind::Tcp);
+/// Pure-query workload over one socket: the point and its positives.
+fn measure_query(cfg: &ServerBenchConfig, socket: SocketKind) -> (Point, u64) {
+    let (handle, endpoint) = start_server(cfg, socket);
     let (blocks, positives) = setup_query(cfg, &endpoint);
-    let blocks = Arc::new(blocks);
-    let (ops, elapsed) = drive_clients(cfg, &endpoint, blocks);
+    let (ops, elapsed) = drive_clients(cfg, &endpoint, Arc::new(blocks));
     handle.shutdown().expect("server shutdown");
-    TransportPoint {
-        name: transport_name(transport),
-        ops_per_sec: ops as f64 / elapsed,
-        ops,
-        positives,
-    }
+    (point(socket, ops, elapsed), positives)
 }
 
-fn measure_mixed(
-    cfg: &ServerBenchConfig,
-    transport: TransportKind,
-    socket: SocketKind,
-) -> MixedPoint {
-    let (handle, endpoint) = start_server(cfg, transport, socket);
+fn measure_mixed(cfg: &ServerBenchConfig, socket: SocketKind) -> Point {
+    let (handle, endpoint) = start_server(cfg, socket);
     let blocks = Arc::new(setup_mixed(cfg, &endpoint));
     let (ops, elapsed) = drive_clients(cfg, &endpoint, blocks);
     handle.shutdown().expect("server shutdown");
-    MixedPoint {
-        transport: transport_name(transport),
+    point(socket, ops, elapsed)
+}
+
+fn point(socket: SocketKind, ops: u64, elapsed: f64) -> Point {
+    Point {
         socket: socket.name(),
         ops_per_sec: ops as f64 / elapsed,
         ops,
     }
 }
 
-/// Runs both workloads and renders the `BENCH_server.json` document.
-pub fn run(cfg: &ServerBenchConfig) -> (ServerBenchResult, String) {
-    let threaded = measure_query(cfg, TransportKind::Threaded);
-    let evented = measure_query(cfg, TransportKind::Evented);
-    assert_eq!(
-        threaded.positives, evented.positives,
-        "transports disagree on probe verdicts"
-    );
-    let speedup = evented.ops_per_sec / threaded.ops_per_sec;
+/// Renders one JSON object's `"evented_<socket>": {...}` rows.
+fn json_rows(points: &[Point]) -> String {
+    let rows: Vec<String> = points
+        .iter()
+        .map(|p| {
+            format!(
+                "    \"evented_{}\": {{ \"ops_per_sec\": {:.0}, \"ops\": {} }}",
+                p.socket, p.ops_per_sec, p.ops
+            )
+        })
+        .collect();
+    rows.join(",\n") + "\n"
+}
 
+/// Runs both workloads over every socket family and renders the
+/// `BENCH_server.json` document.
+pub fn run(cfg: &ServerBenchConfig) -> (ServerBenchResult, String) {
     let mut sockets = vec![SocketKind::Tcp];
     if cfg!(unix) {
         sockets.push(SocketKind::Unix);
     }
-    let mut mixed = Vec::new();
+    let mut query = Vec::new();
+    let mut positives = None;
     for &socket in &sockets {
-        for transport in [TransportKind::Threaded, TransportKind::Evented] {
-            mixed.push(measure_mixed(cfg, transport, socket));
-        }
+        let (p, pos) = measure_query(cfg, socket);
+        assert_eq!(
+            *positives.get_or_insert(pos),
+            pos,
+            "socket families disagree on probe verdicts"
+        );
+        query.push(p);
     }
-    let mixed_speedup = {
-        let by = |t: &str, s: &str| {
-            mixed
-                .iter()
-                .find(|p| p.transport == t && p.socket == s)
-                .map(|p| p.ops_per_sec)
-                .unwrap_or(f64::NAN)
-        };
-        by("evented", "tcp") / by("threaded", "tcp")
-    };
+    let mixed = sockets.iter().map(|&s| measure_mixed(cfg, s)).collect();
     let result = ServerBenchResult {
-        transports: vec![threaded, evented],
-        speedup_evented_vs_threaded: speedup,
+        query,
+        positives: positives.unwrap_or(0),
         mixed,
-        mixed_speedup_evented_vs_threaded: mixed_speedup,
     };
 
     let mut json = String::new();
@@ -528,44 +495,15 @@ pub fn run(cfg: &ServerBenchConfig) -> (ServerBenchResult, String) {
     json.push_str(&format!("  \"measure_ms\": {},\n", cfg.measure_ms));
     json.push_str(&format!("  \"seed\": {},\n", cfg.seed));
     json.push_str("  \"family\": \"one-shot\",\n");
-    json.push_str("  \"transports\": {\n");
-    for (i, t) in result.transports.iter().enumerate() {
-        json.push_str(&format!(
-            "    \"{}\": {{ \"ops_per_sec\": {:.0}, \"ops\": {}, \"positives\": {} }}{}\n",
-            t.name,
-            t.ops_per_sec,
-            t.ops,
-            t.positives,
-            if i + 1 < result.transports.len() {
-                ","
-            } else {
-                ""
-            }
-        ));
-    }
+    json.push_str(&format!("  \"positives\": {},\n", result.positives));
+    json.push_str("  \"query\": {\n");
+    json.push_str(&json_rows(&result.query));
     json.push_str("  },\n");
-    json.push_str(&format!(
-        "  \"speedup_evented_vs_threaded\": {:.2},\n",
-        result.speedup_evented_vs_threaded
-    ));
     json.push_str("  \"mixed\": {\n");
     json.push_str("    \"namespaces\": 4,\n");
     json.push_str("    \"workload\": \"MQUERY + QUERY runs + INSERT/DELETE churn\",\n");
-    for (i, p) in result.mixed.iter().enumerate() {
-        json.push_str(&format!(
-            "    \"{}_{}\": {{ \"ops_per_sec\": {:.0}, \"ops\": {} }}{}\n",
-            p.transport,
-            p.socket,
-            p.ops_per_sec,
-            p.ops,
-            if i + 1 < result.mixed.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  },\n");
-    json.push_str(&format!(
-        "  \"mixed_speedup_evented_vs_threaded_tcp\": {:.2}\n",
-        result.mixed_speedup_evented_vs_threaded
-    ));
+    json.push_str(&json_rows(&result.mixed));
+    json.push_str("  }\n");
     json.push_str("}\n");
     (result, json)
 }
@@ -590,22 +528,15 @@ mod tests {
     #[test]
     fn tiny_run_measures_both_workloads() {
         let (result, json) = run(&tiny());
-        assert_eq!(result.transports.len(), 2);
-        for t in &result.transports {
-            assert!(t.ops_per_sec > 0.0, "{} measured nothing", t.name);
+        let sockets = if cfg!(unix) { 2 } else { 1 };
+        assert_eq!(result.query.len(), sockets);
+        assert_eq!(result.mixed.len(), sockets);
+        for p in result.query.iter().chain(&result.mixed) {
+            assert!(p.ops_per_sec > 0.0, "{} measured nothing", p.socket);
         }
-        let expected_mixed = if cfg!(unix) { 4 } else { 2 };
-        assert_eq!(result.mixed.len(), expected_mixed);
-        for p in &result.mixed {
-            assert!(
-                p.ops_per_sec > 0.0,
-                "{}_{} measured nothing",
-                p.transport,
-                p.socket
-            );
-        }
+        assert!(result.positives > 0);
         assert!(json.contains("\"server_throughput\""));
-        assert!(json.contains("\"evented\""));
+        assert!(json.contains("\"query\""));
         assert!(json.contains("\"mixed\""));
         assert!(json.contains("\"evented_tcp\""));
         if cfg!(unix) {

@@ -255,7 +255,9 @@ impl ShardedCShbfM {
         if count == 0 {
             return Err(ShbfError::ZeroSize("shards"));
         }
-        let mut shards = Vec::with_capacity(count);
+        // Untrusted count (a CRC is not authentication): grow as shards
+        // actually decode rather than pre-allocating from it.
+        let mut shards = Vec::new();
         for _ in 0..count {
             shards.push(RwLock::new(CShbfM::from_bytes(&r.bytes()?)?));
         }
@@ -290,6 +292,14 @@ mod tests {
 
     fn key(i: u64) -> [u8; 8] {
         i.to_le_bytes()
+    }
+
+    #[test]
+    fn hostile_shard_count_is_an_error_not_an_allocation() {
+        // A CRC-valid blob claiming 2^62 shards and holding none.
+        let mut w = shbf_bits::Writer::new(SHARDED_CSHBF_M_KIND);
+        w.u64(7).u64(1 << 62);
+        assert!(ShardedCShbfM::from_bytes(&w.finish()).is_err());
     }
 
     #[test]

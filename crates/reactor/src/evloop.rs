@@ -16,7 +16,9 @@ use std::io::{IoSlice, Read, Write};
 use std::sync::atomic::{AtomicBool, Ordering};
 
 use crate::sys::{Epoll, EpollEvent, EPOLLERR, EPOLLET, EPOLLHUP, EPOLLIN, EPOLLOUT};
-use crate::{Action, Handler, Listener, ReactorConfig, Stream, TransportMetrics, Waker};
+use crate::{
+    Action, Handler, Listener, ReactorConfig, Reservation, Stream, TransportMetrics, Waker,
+};
 
 /// Token of the listening socket (connection tokens encode slot + gen).
 const LISTENER_TOKEN: u64 = u64::MAX;
@@ -128,6 +130,10 @@ impl WriteQueue {
 }
 
 struct Conn {
+    /// This connection's place under the shared cap. Declared first, so
+    /// it is released before `stream` closes: a peer that sees the close
+    /// may reconnect at once and must find the place free.
+    _reservation: Reservation,
     stream: Stream,
     token: u64,
     /// Bytes received but not yet consumed by the handler (at most a
@@ -178,7 +184,6 @@ struct Reactor<'a, H: Handler> {
     conns: Vec<Option<Conn>>,
     generations: Vec<u32>,
     free: Vec<usize>,
-    live: usize,
     handler: &'a mut H,
     shutdown: &'a AtomicBool,
     config: &'a ReactorConfig,
@@ -206,7 +211,6 @@ pub(crate) fn run<H: Handler>(
         conns: Vec::new(),
         generations: Vec::new(),
         free: Vec::new(),
-        live: 0,
         handler,
         shutdown,
         config,
@@ -232,8 +236,8 @@ pub(crate) fn run<H: Handler>(
         // eventfd wakeup, never as a timeout.
         // (in shedding mode a full house still consumes the backlog, so
         // the parked-listener pause only applies when parking).
-        let can_accept = r.accept_pending
-            && (r.live < r.config.max_connections || r.config.shed_reply.is_some());
+        let can_accept =
+            r.accept_pending && (!r.config.connections.is_full() || r.config.shed_reply.is_some());
         let timeout = if can_accept || !queue.is_empty() {
             0
         } else if let Some(every) = sweep_every {
@@ -245,10 +249,12 @@ pub(crate) fn run<H: Handler>(
         for ev in events.iter().copied().take(n) {
             match ev.data {
                 LISTENER_TOKEN => r.accept_pending = true,
-                WAKER_TOKEN => {
-                    r.waker.eventfd().drain();
-                    r.metrics.on_wakeup();
-                }
+                // Deliberately not drained: sibling loops share the
+                // eventfd, and the kernel drops an edge-triggered event
+                // whose fd is no longer readable when an epoll_wait
+                // harvests it — a loop that zeroed the counter first
+                // would leave a slower sibling asleep forever.
+                WAKER_TOKEN => r.metrics.on_wakeup(),
                 _ => r.conn_event(ev, &mut queue),
             }
         }
@@ -282,8 +288,12 @@ pub(crate) fn run<H: Handler>(
 impl<H: Handler> Reactor<'_, H> {
     fn accept_ready(&mut self, queue: &mut Vec<u64>) {
         loop {
-            let at_capacity = self.live >= self.config.max_connections;
-            if at_capacity && self.config.shed_reply.is_none() {
+            // The place under the cap is reserved before the accept, so
+            // no connection is dequeued that the cap cannot hold (a
+            // sibling loop may take the last place at any moment); an
+            // unused reservation is released when it drops.
+            let reservation = self.config.connections.try_reserve();
+            if reservation.is_none() && self.config.shed_reply.is_none() {
                 // Leave `accept_pending` set: the backlog keeps the
                 // overflow, and a freed slot re-enters here without
                 // needing a fresh kernel edge.
@@ -319,7 +329,7 @@ impl<H: Handler> Reactor<'_, H> {
                 continue;
             }
             stream.set_nodelay(true).ok();
-            if at_capacity {
+            let Some(reservation) = reservation else {
                 // Overload shedding: tell the peer we are busy (best
                 // effort — the socket is fresh, so the tiny reply almost
                 // always fits the send buffer) and hang up. The client
@@ -331,7 +341,7 @@ impl<H: Handler> Reactor<'_, H> {
                 }
                 self.metrics.on_shed();
                 continue;
-            }
+            };
             let slot = self.free.pop().unwrap_or_else(|| {
                 self.conns.push(None);
                 self.generations.push(0);
@@ -347,6 +357,7 @@ impl<H: Handler> Reactor<'_, H> {
                 continue;
             }
             self.conns[slot] = Some(Conn {
+                _reservation: reservation,
                 stream,
                 token,
                 rbuf: Vec::new(),
@@ -360,7 +371,6 @@ impl<H: Handler> Reactor<'_, H> {
                 queued: true,
                 last_activity: std::time::Instant::now(),
             });
-            self.live += 1;
             self.metrics.on_accept();
             queue.push(token);
         }
@@ -603,7 +613,6 @@ impl<H: Handler> Reactor<'_, H> {
             self.metrics.on_close();
             self.generations[slot] = self.generations[slot].wrapping_add(1);
             self.free.push(slot);
-            self.live -= 1;
         }
     }
 
@@ -837,7 +846,7 @@ mod tests {
     #[test]
     fn max_connections_leaves_overflow_in_the_backlog_until_a_slot_frees() {
         let config = ReactorConfig {
-            max_connections: 1,
+            connections: Arc::new(crate::ConnectionCap::new(1)),
             ..ReactorConfig::default()
         };
         let (addr, running) = start(config);
@@ -872,7 +881,7 @@ mod tests {
     #[test]
     fn shed_reply_turns_overflow_into_an_immediate_busy_error() {
         let config = ReactorConfig {
-            max_connections: 1,
+            connections: Arc::new(crate::ConnectionCap::new(1)),
             shed_reply: Some(Arc::from(&b"-ERR busy\r\n"[..])),
             ..ReactorConfig::default()
         };

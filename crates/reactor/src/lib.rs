@@ -1,13 +1,15 @@
 //! # shbf-reactor — a std-only epoll event loop for line-protocol servers
 //!
-//! The thread-per-connection transport in `shbf-server` spends one
-//! `write`+`flush` syscall pair per reply and one scheduler slot per
-//! client; at ShBF query speeds (~1 memory access per hash pair) the
-//! transport, not the filter, is the bottleneck. This crate provides the
-//! evented alternative: a single-threaded (or N-threaded, one loop per
-//! thread) **epoll** reactor with
+//! A thread-per-connection server spends one `write`+`flush` syscall pair
+//! per reply and one scheduler slot per client; at ShBF query speeds (~1
+//! memory access per hash pair) the transport, not the filter, becomes
+//! the bottleneck. This crate is `shbf-server`'s only transport: a
+//! single-threaded (or N-threaded, one loop per thread) **epoll** reactor
+//! with
 //!
 //! * nonblocking accept off a shared [`Listener`] — TCP or UNIX-domain,
+//! * one live-connection cap shared by every loop on the listener
+//!   ([`ConnectionCap`]),
 //! * per-connection growable read buffers and a per-connection
 //!   [write queue of reply buffers](Handler::on_data),
 //! * **edge-triggered readiness** (`EPOLLET`): interest is registered
@@ -38,8 +40,8 @@
 //! so the unsafe surface is exactly the epoll/eventfd/close calls.
 //!
 //! epoll is Linux-only; on other targets [`run`] returns
-//! `ErrorKind::Unsupported` and callers should fall back to a blocking
-//! transport (check [`SUPPORTED`] first).
+//! `ErrorKind::Unsupported` (check [`SUPPORTED`] first). The socket
+//! types, [`Waker`] and [`TransportMetrics`] stay portable.
 //!
 //! ## Driving a protocol
 //!
@@ -57,7 +59,8 @@
 
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::Arc;
 
 #[cfg(target_os = "linux")]
 pub mod sys;
@@ -68,10 +71,10 @@ mod evloop;
 /// Whether the evented reactor is available on this target.
 pub const SUPPORTED: bool = cfg!(target_os = "linux");
 
-/// A bound listening socket the reactor (or a blocking accept loop) can
-/// serve: loopback/remote TCP or a UNIX-domain socket path. UNIX sockets
-/// skip TCP/IP framing entirely — for same-host clients they cut both
-/// syscall cost and latency.
+/// A bound listening socket the reactor can serve: loopback/remote TCP
+/// or a UNIX-domain socket path. UNIX sockets skip TCP/IP framing
+/// entirely — for same-host clients they cut both syscall cost and
+/// latency.
 #[derive(Debug)]
 pub enum Listener {
     /// A TCP listening socket.
@@ -163,7 +166,7 @@ impl Stream {
         }
     }
 
-    /// Bounds blocking reads (used by the threaded transport's poll loop).
+    /// Bounds blocking reads (client side; reactor sockets never block).
     pub fn set_read_timeout(&self, dur: Option<std::time::Duration>) -> std::io::Result<()> {
         match self {
             Stream::Tcp(s) => s.set_read_timeout(dur),
@@ -241,13 +244,14 @@ impl Write for Stream {
 /// One waker (its eventfd) may be registered with *several* loops: a
 /// single [`wake`](Waker::wake) delivers a readable edge to every epoll
 /// instance watching it, so "set the shutdown flag, wake once" stops a
-/// whole fleet of sibling loops with no poll-timeout stall. On non-Linux
-/// targets the type exists but wakes nothing (the reactor is unsupported
-/// there anyway).
+/// whole fleet of sibling loops with no poll-timeout stall. Loops never
+/// read the counter back, so a wake stays visible to a sibling that
+/// harvests its edge late. On non-Linux targets the type exists but
+/// wakes nothing (the reactor is unsupported there anyway).
 #[derive(Debug, Clone)]
 pub struct Waker {
     #[cfg(target_os = "linux")]
-    fd: std::sync::Arc<sys::EventFd>,
+    fd: Arc<sys::EventFd>,
 }
 
 impl Waker {
@@ -255,7 +259,7 @@ impl Waker {
     #[cfg(target_os = "linux")]
     pub fn new() -> std::io::Result<Waker> {
         Ok(Waker {
-            fd: std::sync::Arc::new(sys::EventFd::new()?),
+            fd: Arc::new(sys::EventFd::new()?),
         })
     }
 
@@ -280,8 +284,7 @@ impl Waker {
 }
 
 /// Shared, lock-free connection-level counters, updated by reactor loops
-/// (and, for the portable counters, by blocking transports) and read by
-/// whatever surfaces them — `shbf-server` reports them as the
+/// and read by whatever surfaces them — `shbf-server` reports them as the
 /// `STATS transport` section.
 #[derive(Debug, Default)]
 pub struct TransportMetrics {
@@ -398,6 +401,61 @@ impl TransportMetrics {
     }
 }
 
+/// The live-connection cap shared by every reactor loop serving one
+/// listener.
+///
+/// A loop reserves a place (a compare-exchange on one counter) before it
+/// admits a connection and releases it when the connection closes, so the
+/// total holds across loops however accepts happen to land on them. A
+/// loop parked at the cap keeps its pending listener edge; so does every
+/// sibling that saw the same edge, which means the loop that frees a
+/// place re-checks the backlog itself — no cross-loop wakeup is needed.
+#[derive(Debug)]
+pub struct ConnectionCap {
+    max: usize,
+    /// Places taken. The count publishes no other data, so every access
+    /// is `Relaxed`; the compare-exchange alone keeps `live <= max`.
+    live: AtomicUsize,
+}
+
+impl ConnectionCap {
+    /// A cap of `max` live connections (at least one).
+    pub fn new(max: usize) -> ConnectionCap {
+        ConnectionCap {
+            max: max.max(1),
+            live: AtomicUsize::new(0),
+        }
+    }
+
+    #[cfg(target_os = "linux")]
+    pub(crate) fn is_full(&self) -> bool {
+        self.live.load(Ordering::Relaxed) >= self.max
+    }
+
+    /// Takes one place unless the cap is reached.
+    #[cfg(target_os = "linux")]
+    pub(crate) fn try_reserve(self: &Arc<Self>) -> Option<Reservation> {
+        self.live
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| {
+                (n < self.max).then_some(n + 1)
+            })
+            .ok()
+            .map(|_| Reservation(Arc::clone(self)))
+    }
+}
+
+/// One reserved place under a [`ConnectionCap`], returned when dropped —
+/// so every path that discards a connection releases its place.
+#[cfg(target_os = "linux")]
+pub(crate) struct Reservation(Arc<ConnectionCap>);
+
+#[cfg(target_os = "linux")]
+impl Drop for Reservation {
+    fn drop(&mut self) {
+        self.0.live.fetch_sub(1, Ordering::Relaxed);
+    }
+}
+
 /// Tunables for [`run`].
 #[derive(Debug, Clone)]
 pub struct ReactorConfig {
@@ -406,16 +464,16 @@ pub struct ReactorConfig {
     /// TCP flow control eventually pushes back on the peer). Reading
     /// resumes once the queue drains below `high_water / 2`.
     pub high_water: usize,
-    /// Maximum concurrent connections this reactor accepts. Beyond it:
-    /// with [`Self::shed_reply`] set, excess connections are accepted,
-    /// sent that reply, and closed (overload shedding); without it,
-    /// pending connections wait in the listen backlog until a slot
-    /// frees (exactly like the threaded transport's semaphore).
-    pub max_connections: usize,
+    /// Live-connection cap. Clones of one config share it, so sibling
+    /// loops on one listener enforce a single total. Beyond it: with
+    /// [`Self::shed_reply`] set, excess connections are accepted, sent
+    /// that reply, and closed (overload shedding); without it, pending
+    /// connections wait in the listen backlog until a slot frees.
+    pub connections: Arc<ConnectionCap>,
     /// Overload-shed farewell bytes (e.g. `-ERR busy\r\n`) written
-    /// best-effort to connections accepted past `max_connections`.
-    /// `None` parks the listener instead of shedding.
-    pub shed_reply: Option<std::sync::Arc<[u8]>>,
+    /// best-effort to connections accepted past the cap. `None` parks
+    /// the listener instead of shedding.
+    pub shed_reply: Option<Arc<[u8]>>,
     /// Close connections with no inbound bytes for this long. `None`
     /// disables reaping (and the loop blocks in `epoll_wait` with no
     /// timeout when idle).
@@ -426,7 +484,7 @@ impl Default for ReactorConfig {
     fn default() -> Self {
         ReactorConfig {
             high_water: 1 << 20,
-            max_connections: 1024,
+            connections: Arc::new(ConnectionCap::new(1024)),
             shed_reply: None,
             idle_timeout: None,
         }
@@ -521,6 +579,6 @@ pub fn run<H: Handler>(
 ) -> std::io::Result<()> {
     Err(std::io::Error::new(
         std::io::ErrorKind::Unsupported,
-        "shbf-reactor requires epoll (Linux); use the threaded transport",
+        "shbf-reactor requires epoll (Linux)",
     ))
 }

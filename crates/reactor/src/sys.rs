@@ -59,7 +59,6 @@ extern "C" {
     fn epoll_ctl(epfd: c_int, op: c_int, fd: c_int, event: *mut EpollEvent) -> c_int;
     fn epoll_wait(epfd: c_int, events: *mut EpollEvent, maxevents: c_int, timeout: c_int) -> c_int;
     fn eventfd(initval: c_uint, flags: c_int) -> c_int;
-    fn read(fd: c_int, buf: *mut u8, count: usize) -> isize;
     fn write(fd: c_int, buf: *const u8, count: usize) -> isize;
     fn close(fd: c_int) -> c_int;
 }
@@ -147,8 +146,9 @@ impl Drop for Epoll {
 /// An owned, nonblocking eventfd — the wakeup channel that lets another
 /// thread nudge a loop blocked in [`Epoll::wait`] without any poll
 /// timeout. A [`notify`](EventFd::notify) adds to the kernel counter
-/// (readable-edge for every epoll instance watching the fd);
-/// [`drain`](EventFd::drain) zeroes it again.
+/// (readable-edge for every epoll instance watching the fd). The counter
+/// is never read back, so once notified the fd stays readable and every
+/// watcher harvests the edge, however late it waits.
 #[derive(Debug)]
 pub struct EventFd {
     fd: RawFd,
@@ -186,15 +186,6 @@ impl EventFd {
                 io::ErrorKind::Interrupted => continue,
                 _ => return Err(e),
             }
-        }
-    }
-
-    /// Zeroes the counter (nonblocking; an already-empty counter is fine).
-    pub fn drain(&self) {
-        let mut buf = [0u8; 8];
-        // SAFETY: `buf` is 8 writable bytes for the duration of the call.
-        unsafe {
-            read(self.fd, buf.as_mut_ptr(), buf.len());
         }
     }
 }
@@ -300,10 +291,24 @@ mod tests {
             ev.data
         };
         assert_eq!(data, 99);
-        efd.drain();
-        // Drained and edge-triggered: no further events until re-notified.
+        // Edge-triggered: no further events until re-notified.
         assert_eq!(epoll.wait(&mut events, 0).unwrap(), 0);
         efd.notify().unwrap();
         assert_eq!(epoll.wait(&mut events, 200).unwrap(), 1);
+    }
+
+    #[test]
+    fn one_notify_reaches_every_watcher_however_late_it_waits() {
+        // Two loops sharing one waker: the first to wake must not consume
+        // the wakeup its sibling has yet to harvest.
+        let efd = EventFd::new().unwrap();
+        let first = Epoll::new().unwrap();
+        let late = Epoll::new().unwrap();
+        first.add(efd.raw_fd(), EPOLLIN | EPOLLET, 1).unwrap();
+        late.add(efd.raw_fd(), EPOLLIN | EPOLLET, 2).unwrap();
+        efd.notify().unwrap();
+        let mut events = [EpollEvent::default(); 4];
+        assert_eq!(first.wait(&mut events, 0).unwrap(), 1);
+        assert_eq!(late.wait(&mut events, 0).unwrap(), 1);
     }
 }

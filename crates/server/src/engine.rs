@@ -51,9 +51,8 @@ pub enum Control {
 #[derive(Default)]
 pub struct Engine {
     registry: Registry,
-    /// Connection-level counters every transport records into (the
-    /// reactor loops directly, the threaded handlers through the same
-    /// hooks); surfaced as `STATS transport`.
+    /// Connection-level counters the reactor loops record into;
+    /// surfaced as `STATS transport`.
     transport: Arc<TransportMetrics>,
     /// Durable op-log + snapshot state, set once by [`Self::enable_wal`].
     /// The mutex serializes **mutations** (apply + append must be atomic

@@ -1,37 +1,41 @@
-//! Evented transport: the `shbf-reactor` epoll loop speaking the line
-//! protocol, with **pipelined batch formation**.
+//! The server's transport: the `shbf-reactor` epoll loop speaking the
+//! line protocol, with **pipelined batch formation**.
 //!
-//! Where the threaded transport handles one request line per
-//! `read_line`/`write`/`flush` cycle, each readable event here drains
-//! *every* complete line buffered on the connection in one pass
-//! (edge-triggered — the reactor re-drives leftover readiness from
-//! userspace), and each turn's replies leave as one buffer on the
-//! connection's write queue, flushed with `writev` — no coalescing copy.
-//! On top of that, runs of adjacent `QUERY` lines against the same
-//! namespace are grouped into a single [`Engine`] batch ride over the
-//! existing [`QueryScratch`] path — the same shard-grouped, prefetched
-//! pipeline `MQUERY` uses — so `MQUERY`-sized batches form naturally
-//! from pipelined clients without anyone hand-building an `MQUERY`.
-//! Line framing itself is [`scan_line`], shared with the proptest suite
-//! that replays arbitrary chunkings against single-shot parsing.
+//! Each readable event drains *every* complete line buffered on the
+//! connection in one pass (edge-triggered — the reactor re-drives
+//! leftover readiness from userspace), and each turn's replies leave as
+//! one buffer on the connection's write queue, flushed with `writev` — no
+//! coalescing copy. On top of that, runs of adjacent `QUERY` lines against
+//! the same namespace are grouped into a single [`Engine`] batch ride over
+//! the existing [`QueryScratch`] path — the same shard-grouped, prefetched
+//! pipeline `MQUERY` uses — so `MQUERY`-sized batches form naturally from
+//! pipelined clients without anyone hand-building an `MQUERY`. Line
+//! framing itself is [`scan_line`], shared with the proptest suite that
+//! replays arbitrary chunkings against single-shot parsing.
 //!
-//! **Response streams are byte-identical to the threaded transport** for
-//! any request stream, however it is segmented: grouped `QUERY` verdicts
-//! are re-encoded as the individual `:1`/`:0` lines (batch == scalar
-//! verdicts are guaranteed by the `batch_equivalence` suite), errors are
-//! replicated per grouped query, and per-namespace hit/miss counters
-//! advance exactly as the scalar path would
-//! (`tests/protocol_segmentation.rs` asserts all of this byte-for-byte).
+//! **Response streams are byte-identical to scalar, one-line-at-a-time
+//! evaluation** for any request stream, however it is segmented: grouped
+//! `QUERY` verdicts are re-encoded as the individual `:1`/`:0` lines
+//! (batch == scalar verdicts are guaranteed by the `batch_equivalence`
+//! suite) and errors are replicated per grouped query
+//! (`tests/protocol_segmentation.rs` and `tests/transport_conformance.rs`
+//! compare the wire against an in-process oracle byte for byte).
+//!
+//! **Accounting.** A coalesced run of `QUERY`s is one dispatch: it counts
+//! once under `cmd="mquery"` (and is timed there), while per-namespace
+//! hits and misses advance once per key, exactly as scalar `QUERY`s
+//! would. `cmd="query"` therefore stays at zero on the served path.
 //!
 //! Several reactor loops (one thread each) can share the listener; each
 //! owns its accepted connections outright, so no cross-thread connection
-//! state exists — the engine's registry is the only shared structure.
+//! state exists — the engine's registry and the one live-connection cap
+//! ([`ConnectionCap`]) are the only shared structures.
 
 use std::collections::HashMap;
-use std::sync::atomic::AtomicBool;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use shbf_reactor::{Action, Drained, Handler, Listener, ReactorConfig, Waker};
+use shbf_reactor::{Action, ConnectionCap, Drained, Handler, Listener, ReactorConfig, Waker};
 
 use crate::engine::{Control, Engine, QueryScratch};
 use crate::protocol::{parse_command, scan_line, Command, Response, Scan};
@@ -39,12 +43,12 @@ use crate::server::{ServerConfig, MAX_REQUEST_LINE};
 
 /// Runs the configured number of reactor loops over `listener` until
 /// shutdown. The calling thread runs one loop itself; the rest are
-/// spawned and joined before returning, so the caller's lifecycle matches
-/// the threaded transport's `run`. All loops share `waker` (one eventfd):
-/// a single wake — from [`crate::ServerHandle::shutdown`] or from a
-/// handler's `Action::Shutdown` — stops the whole fleet with no
-/// poll-timeout stall. They also share the engine's
-/// [`shbf_reactor::TransportMetrics`], which `STATS transport` reports.
+/// spawned and joined before returning. All loops share `waker` (one
+/// eventfd): a single wake — from [`crate::ServerHandle::shutdown`] or
+/// from a handler's `Action::Shutdown` — stops the whole fleet with no
+/// poll-timeout stall. They also share one [`ConnectionCap`] of
+/// `max_connections` and the engine's [`shbf_reactor::TransportMetrics`],
+/// which `STATS transport` reports.
 pub(crate) fn run(
     listener: Listener,
     engine: Arc<Engine>,
@@ -52,32 +56,25 @@ pub(crate) fn run(
     waker: Waker,
     config: &ServerConfig,
 ) -> std::io::Result<()> {
-    // The connection cap is distributed exactly across loops (the first
-    // `rem` loops take one extra), so the configured total stays the
-    // global bound; loops beyond the cap would sit idle, so don't spawn
-    // them.
+    // Loops beyond the cap could never all hold a connection at once, so
+    // don't spawn them.
     let max_connections = config.max_connections.max(1);
     let workers = config.effective_evented_workers().clamp(1, max_connections);
-    let base = max_connections / workers;
-    let rem = max_connections % workers;
-    let high_water = config.write_high_water;
-    let shed_reply: Option<Arc<[u8]>> = config
-        .shed_busy
-        .then(|| Arc::from(crate::server::BUSY_REPLY));
-    let idle_timeout = config.idle_deadline();
-    let config_for = move |i: usize| ReactorConfig {
-        max_connections: base + usize::from(i < rem),
-        high_water,
-        shed_reply: shed_reply.clone(),
-        idle_timeout,
+    let reactor_config = ReactorConfig {
+        connections: Arc::new(ConnectionCap::new(max_connections)),
+        high_water: config.write_high_water,
+        shed_reply: config
+            .shed_busy
+            .then(|| Arc::from(crate::server::BUSY_REPLY)),
+        idle_timeout: config.idle_deadline(),
     };
     let mut spawned = Vec::with_capacity(workers - 1);
-    for i in 1..workers {
+    for _ in 1..workers {
         let listener = listener.try_clone()?;
         let engine = Arc::clone(&engine);
         let shutdown = Arc::clone(&shutdown);
         let waker = waker.clone();
-        let config = config_for(i);
+        let config = reactor_config.clone();
         spawned.push(std::thread::spawn(move || {
             let metrics = Arc::clone(engine.transport_metrics());
             let mut handler = EventedHandler::new(engine);
@@ -90,12 +87,13 @@ pub(crate) fn run(
         listener,
         &mut handler,
         &shutdown,
-        &config_for(0),
+        &reactor_config,
         &waker,
         &metrics,
     );
-    // A loop that returned on shutdown may have observed the flag before
-    // its siblings were woken; re-wake so every join below completes.
+    // This loop returns on shutdown or on an error; either way the whole
+    // fleet stops with it.
+    shutdown.store(true, Ordering::SeqCst);
     let _ = waker.wake();
     for t in spawned {
         let _ = t.join();
@@ -240,8 +238,9 @@ impl Handler for EventedHandler {
                 // Everything else is a batch boundary: answer the group
                 // first so replies stay in request order.
                 Ok(cmd) => {
-                    // Admin/batch verbs are always traced while sampling
-                    // is on (same rule as the threaded transport).
+                    // Every verb timed on each dispatch (admin, batch,
+                    // mutation) is also always traced while sampling is
+                    // on, so its slow-log entry can name its trace.
                     if !trace.is_armed() && !crate::metrics::CommandKind::of(&cmd).sampled() {
                         trace = shbf_trace::start_forced(engine.trace(), "request");
                     }

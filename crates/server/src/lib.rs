@@ -71,8 +71,8 @@
 //!
 //! The serving stack degrades predictably instead of hanging or silently
 //! corrupting: per-connection **idle deadlines**
-//! ([`ServerConfig::conn_idle_secs`]) reap silent connections on both
-//! transports, **overload shedding** ([`ServerConfig::shed_busy`]) turns
+//! ([`ServerConfig::conn_idle_secs`]) reap silent connections,
+//! **overload shedding** ([`ServerConfig::shed_busy`]) turns
 //! connections beyond [`ServerConfig::max_connections`] into an immediate
 //! `-ERR busy` instead of unbounded queueing, a WAL write failure latches
 //! the server **read-only** (reads keep serving; mutations are refused
@@ -94,24 +94,29 @@
 //! [`ServerConfig::data_dir`] sandboxes `SNAPSHOT`/`LOAD` to one
 //! directory (absolute paths and `..` escapes are rejected with
 //! `-ERR path outside data dir`). Per-connection memory is bounded
-//! (request lines are capped at 1 MiB) and worker threads are capped by
-//! [`ServerConfig::max_connections`].
+//! (request lines are capped at 1 MiB) and live connections are capped
+//! by [`ServerConfig::max_connections`].
 //!
-//! ## Transports
+//! ## Transport
 //!
-//! Two interchangeable transports serve the protocol with
-//! **byte-identical response streams** ([`ServerConfig::transport`]):
-//! the portable blocking thread-per-connection model, and (on Linux) an
-//! edge-triggered epoll reactor ([`TransportKind::Evented`], built on
-//! `shbf-reactor`) that drains all pipelined lines per readable event,
-//! batches adjacent `QUERY`s through the shard-grouped prefetched
-//! pipeline, and flushes replies with vectored writes — so the `MQUERY`
-//! fast path engages automatically under pipelined load. Both transports
-//! listen on TCP ([`Server::bind`]) or a UNIX-domain socket
-//! ([`Server::bind_unix`]); reactor shutdown is eventfd-woken (no poll
+//! One transport serves the protocol: edge-triggered epoll reactor loops
+//! (built on `shbf-reactor`) that drain all pipelined lines per readable
+//! event, batch adjacent `QUERY`s through the shard-grouped prefetched
+//! pipeline, and flush replies with vectored writes — so the `MQUERY`
+//! fast path engages automatically under pipelined load. Serving is
+//! **Linux-only** ([`Server::run`] returns `ErrorKind::Unsupported`
+//! elsewhere); the library crates stay portable.
+//! [`ServerConfig::evented_workers`] loops share the listener and one
+//! live-connection cap, [`ServerConfig::max_connections`]. The server
+//! listens on TCP ([`Server::bind`]) or a UNIX-domain socket
+//! ([`Server::bind_unix`]); shutdown is eventfd-woken (no poll
 //! timeout), and connection-level counters (accepted/closed, bytes
 //! in/out, backpressure events, write-queue high-water) are reported by
 //! the reserved `STATS transport` command.
+//!
+//! A coalesced run of adjacent `QUERY`s is one batch dispatch: it counts
+//! once as `cmd="mquery"` in `STATS server` and `/metrics`, while the
+//! per-namespace hit and miss counters advance once per key.
 //!
 //! ## Observability
 //!
@@ -132,7 +137,8 @@
 //! records full span trees — transport read/parse/dispatch/encode/write,
 //! engine shard work, WAL append + fsync, snapshot writes, replica
 //! applies — for one in [`ServerConfig::trace_sample`] requests
-//! (admin/batch verbs are always traced while sampling is on; `0`
+//! (admin, batch and mutation verbs are always traced while sampling is
+//! on; `0`
 //! disables it for a single relaxed atomic load per potential span).
 //! Recorded traces are served by `TRACE GET/RESET/LEN` on the command
 //! port and as Chrome trace-event JSON at `GET /trace` on the metrics
@@ -148,8 +154,8 @@
 //! ## Layers
 //!
 //! [`protocol`] (codec) → [`engine`] (dispatch) → [`registry`]
-//! (namespaces) → filter crates; [`server`] owns the listener and the
-//! threaded accept loop, [`evented`](TransportKind::Evented) the reactor
+//! (namespaces) → filter crates; [`server`] owns the listener, its
+//! configuration and the server lifecycle, `evented` the reactor
 //! handler, [`snapshot`] the persistence format, [`persistence`] the
 //! WAL + recovery wiring, `replication` the replica applier, and
 //! [`client`] a minimal blocking client (with pipelining and `$`-framed
@@ -194,7 +200,7 @@ pub use protocol::{
     SlowLogSub, TraceSub,
 };
 pub use registry::{Namespace, Registry, RegistryError};
-pub use server::{Endpoint, Server, ServerConfig, ServerHandle, TransportKind};
+pub use server::{Endpoint, Server, ServerConfig, ServerHandle};
 pub use snapshot::SnapshotError;
 
 // The WAL flush policy rides in `ServerConfig`; re-exported so embedders

@@ -10,16 +10,18 @@
 //! uses this for before/after overhead rows).
 //!
 //! **Sampled timing.** Every dispatched command bumps its per-kind
-//! counter (one relaxed increment), but the wall-clock timing that
-//! feeds the latency histograms and the slow-query log is *sampled* for
-//! single-key commands (`QUERY`/`INSERT`/`DELETE`/`COUNT`/`ASSOC`): one
-//! in [`SAMPLE_PERIOD`] is timed. A single-key dispatch is a ~100 ns
-//! memory probe, so an unconditional `Instant::now()` pair (~50 ns)
-//! would tax the hot path by ~40%; sampling amortizes it to well under
-//! 3% while the histograms stay statistically faithful. Batched and
-//! administrative commands (`MQUERY`, `MINSERT`, `CREATE`, `SNAPSHOT`,
-//! …) are always timed — their cost dwarfs the clock reads, and they
-//! are the commands the slow-query log exists to catch.
+//! counter, but the wall-clock timing that feeds the latency histograms
+//! and the slow-query log is *sampled* for single-key reads
+//! (`QUERY`/`COUNT`/`ASSOC`/`MSQUERY`/`WHICH`): one in [`SAMPLE_PERIOD`]
+//! is timed. A single-key read is a ~100 ns memory probe, so an
+//! unconditional `Instant::now()` pair (~50 ns) would tax the hot path
+//! by ~40%; sampling amortizes it to well under 3% while the histograms
+//! stay statistically faithful. Every other command is always timed:
+//! mutations (`INSERT`/`DELETE`/`MSINSERT`/`MSDELETE` included), whose
+//! cost under the durability lock — a WAL append, possibly an fsync —
+//! dwarfs the clock reads and is exactly what the slow-query log exists
+//! to catch, and batched or administrative commands (`MQUERY`,
+//! `MINSERT`, `CREATE`, `SNAPSHOT`, …).
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -141,18 +143,14 @@ impl CommandKind {
         }
     }
 
-    /// Whether this kind's timing is sampled (single-key hot-path
-    /// commands) instead of taken on every dispatch.
+    /// Whether this kind's timing is sampled (single-key reads) instead
+    /// of taken on every dispatch.
     pub fn sampled(self) -> bool {
         matches!(
             self,
             CommandKind::Query
-                | CommandKind::Insert
-                | CommandKind::Delete
                 | CommandKind::Count
                 | CommandKind::Assoc
-                | CommandKind::MsInsert
-                | CommandKind::MsDelete
                 | CommandKind::MsQuery
                 | CommandKind::Which
         )
@@ -345,17 +343,16 @@ impl EngineMetrics {
     }
 
     /// Counts one dispatched command and says whether this dispatch
-    /// should take the wall clock: always for batched/administrative
-    /// kinds, one in [`SAMPLE_PERIOD`] for single-key kinds.
+    /// should take the wall clock: one in [`SAMPLE_PERIOD`] for sampled
+    /// single-key reads, always for everything else.
     ///
-    /// Single-key kinds run in ~140 ns, so even one relaxed `fetch_add`
+    /// Single-key reads run in ~140 ns, so even one relaxed `fetch_add`
     /// (a locked RMW, ~10 ns on commodity x86) costs several percent of
     /// the dispatch path. Their counter therefore uses a plain relaxed
     /// load + store pair instead: monotone and exact for a single
     /// dispatching thread, with a one-instruction undercount window when
-    /// two threads dispatch the *same* kind simultaneously. Batched and
-    /// administrative kinds are rare and heavy, so they keep the exact
-    /// RMW.
+    /// two threads dispatch the *same* kind simultaneously. Every other
+    /// kind — mutations included — keeps the exact RMW.
     #[inline]
     pub fn count_and_should_time(&self, kind: CommandKind) -> bool {
         let slot = &self.dispatched[kind.index()];
@@ -576,6 +573,18 @@ mod tests {
         assert_eq!(m.command_count(CommandKind::Query), SAMPLE_PERIOD * 3);
         assert!(CommandKind::Query.sampled());
         assert!(!CommandKind::MInsert.sampled());
+        // Mutations are timed on every dispatch, so a WAL stall can
+        // never hide between samples.
+        for kind in [
+            CommandKind::Insert,
+            CommandKind::Delete,
+            CommandKind::MsInsert,
+            CommandKind::MsDelete,
+        ] {
+            assert!(!kind.sampled(), "{kind:?}");
+            assert!((0..3).all(|_| m.count_and_should_time(kind)));
+            assert_eq!(m.command_count(kind), 3);
+        }
     }
 
     #[test]

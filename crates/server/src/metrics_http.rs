@@ -251,7 +251,7 @@ pub(crate) fn render_prometheus(engine: &Engine) -> String {
     e.header(
         "shbf_command_duration_seconds",
         "Dispatch latency by command kind (power-of-two nanosecond buckets; \
-         single-key kinds are clock-sampled 1 in 64, so their _count is \
+         single-key reads are clock-sampled 1 in 64, so their _count is \
          below shbf_commands_total).",
         "histogram",
     );
@@ -634,7 +634,7 @@ pub(crate) fn render_prometheus(engine: &Engine) -> String {
         if engine.is_read_only() { 1.0 } else { 0.0 },
     );
 
-    // Transport connection counters (shared by both transports).
+    // Transport connection counters.
     let t = engine.transport_metrics().snapshot();
     let transport_counters: [(&str, &str, u64); 9] = [
         (

@@ -360,8 +360,7 @@ pub enum Scan<'a> {
 /// Scans the front of `buf` for the next request line. `eof` means no
 /// more input will ever arrive, so an unterminated trailing line is
 /// served as-is (the way a blocking `read_line` loop would). The oversize
-/// check counts the newline byte for terminated lines, matching the
-/// threaded transport's `read_line` budget exactly.
+/// check counts the newline byte for terminated lines.
 pub fn scan_line(buf: &[u8], eof: bool, max_line: usize) -> Scan<'_> {
     match buf.iter().position(|&b| b == b'\n') {
         Some(i) if i + 1 > max_line => Scan::Oversize,

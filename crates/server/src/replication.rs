@@ -13,9 +13,8 @@
 //!    each replayed through the normal dispatch path.
 //!
 //! Pulling (rather than the primary pushing) keeps replication a plain
-//! request/reply exchange, so it runs identically over the threaded and
-//! evented transports — no server-initiated frames, no connection
-//! hijacking. The cost is polling latency (~tens of ms when idle),
+//! request/reply exchange over the normal transport — no
+//! server-initiated frames, no connection hijacking. The cost is polling latency (~tens of ms when idle),
 //! which read-fanout replicas don't care about.
 //!
 //! While attached, the replica serves `QUERY`/`MQUERY`/`COUNT`/`ASSOC`

@@ -155,8 +155,11 @@ pub fn load(registry: &Registry, path: &Path) -> Result<usize, SnapshotError> {
 /// [`load`].
 pub fn load_bytes(registry: &Registry, blob: &[u8]) -> Result<usize, SnapshotError> {
     let mut r = Reader::new(blob, SNAPSHOT_KIND)?;
+    // The count is untrusted (the CRC is not authentication): no
+    // pre-allocation from it — a short blob fails at its first missing
+    // entry instead.
     let count = r.u64()? as usize;
-    let mut loaded = Vec::with_capacity(count);
+    let mut loaded = Vec::new();
     for _ in 0..count {
         let name_bytes = r.bytes()?;
         let name = String::from_utf8(name_bytes)
@@ -204,6 +207,15 @@ mod tests {
     use super::*;
     use crate::engine::Engine;
     use crate::protocol::Response;
+
+    #[test]
+    fn hostile_namespace_count_is_an_error_not_an_allocation() {
+        // A CRC-valid blob claiming 2^62 namespaces and holding none.
+        let mut w = Writer::new(SNAPSHOT_KIND);
+        w.u64(1 << 62);
+        let e = Engine::new();
+        assert!(load_bytes(e.registry(), &w.finish()).is_err());
+    }
 
     #[test]
     fn snapshot_roundtrips_all_backends() {

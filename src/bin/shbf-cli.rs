@@ -19,7 +19,7 @@ use std::sync::Arc;
 use shbf::analysis::{bf as bf_theory, shbf as shbf_theory};
 use shbf::baselines::Bf;
 use shbf::core::{ShbfM, ShbfX};
-use shbf::server::{Client, Engine, Server, ServerConfig, TransportKind};
+use shbf::server::{Client, Engine, Server, ServerConfig};
 use shbf::workloads::{SyntheticTrace, TraceConfig};
 
 fn main() -> ExitCode {
@@ -75,12 +75,14 @@ COMMANDS
         [--trace-sample off|1inN] [--log-level error|warn|info|debug]
         [--log-format text|json]
       Run the set-query daemon (default 127.0.0.1:7878, 64 workers).
-      Speaks the RESP-like line protocol documented in shbf-server;
-      --unix listens on a UNIX-domain socket path instead of TCP;
-      --load restores namespaces from a snapshot file at startup;
-      --evented serves with the edge-triggered epoll reactor transport
-      (pipelined parsing + vectored writes; Linux, falls back to
-      threaded elsewhere), --reactors caps its event-loop threads.
+      Speaks the RESP-like line protocol documented in shbf-server over
+      edge-triggered epoll reactor loops (pipelined parsing, adjacent
+      QUERYs batched, vectored writes; Linux only). --workers is the
+      live-connection cap, one total across all loops; --reactors sets
+      the number of event-loop threads (default one per CPU, at most 8).
+      --evented is accepted and ignored (the reactor is the only
+      transport). --unix listens on a UNIX-domain socket path instead
+      of TCP; --load restores namespaces from a snapshot file at startup.
       --wal-dir enables the durable op-log: mutations are appended
       (flushed per --fsync, default everysec) before the reply, a
       snapshot + log truncation runs every --snapshot-every mutations
@@ -98,8 +100,8 @@ COMMANDS
       injection for chaos testing — never enable in production). The
       SHBF_FAILPOINTS env var seeds failpoints at startup either way.
       --trace-sample 1inN records a full span tree for one in N
-      requests (admin/batch verbs are always traced while sampling is
-      on; default off = zero cost): inspect with TRACE GET, or load
+      requests (admin, batch and mutation verbs are always traced while
+      sampling is on; default off = zero cost): inspect with TRACE GET, or load
       GET /trace on the metrics port into chrome://tracing / Perfetto.
       Requests over --slowlog-us retain their trace, and SLOWLOG GET
       shows the trace id plus per-phase timings. --log-level filters
@@ -112,8 +114,8 @@ COMMANDS
       server): --send fires one command and prints the reply; without
       it, a line REPL reads from stdin. --pipeline N writes up to N
       commands before reading their replies (stdin mode; with --send,
-      split commands on `;`) — against an --evented server this drives
-      the batched query path. --timeout-ms bounds both the TCP connect
+      split commands on `;`) — adjacent QUERYs then ride the server's
+      batched query path. --timeout-ms bounds both the TCP connect
       and every reply read (0, the default, waits forever)."
     );
 }
@@ -354,11 +356,12 @@ fn cmd_query(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_serve(args: &[String]) -> Result<(), String> {
+    // `--evented` is still parsed (as a no-op) so scripts written when the
+    // reactor was opt-in keep working.
     let flags = Flags::parse_with_bools(args, &["evented", "shed-busy", "failpoints-admin"])?;
     let bind = flags.get("bind").unwrap_or("127.0.0.1");
     let port: u16 = flags.get_parsed("port", 7878)?;
     let workers: usize = flags.get_parsed("workers", 64)?;
-    let evented = flags.get("evented").is_some();
     let reactors: usize = flags.get_parsed("reactors", 0)?;
     let wal_dir = flags.get("wal-dir").map(PathBuf::from);
     let fsync: shbf::server::FsyncPolicy = flags
@@ -391,14 +394,8 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
             .map_err(|e| format!("loading {snapshot}: {e}"))?;
         println!("restored {n} namespaces from {snapshot}");
     }
-    let transport = if evented {
-        TransportKind::Evented
-    } else {
-        TransportKind::Threaded
-    };
     let config = ServerConfig {
         max_connections: workers,
-        transport,
         evented_workers: reactors,
         wal_dir,
         fsync,
@@ -425,11 +422,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
             .map_err(|e| format!("binding {bind}:{port}: {e}"))?,
     };
     let endpoint = server.endpoint().clone();
-    let mode = match transport {
-        TransportKind::Evented => "evented epoll transport",
-        TransportKind::Threaded => "threaded transport",
-    };
-    println!("shbf-server listening on {endpoint} ({mode}, {workers} max connections); send SHUTDOWN to stop");
+    println!("shbf-server listening on {endpoint} (evented epoll transport, {workers} max connections); send SHUTDOWN to stop");
     if let Some(addr) = server.metrics_addr() {
         println!(
             "prometheus metrics at http://{addr}/metrics (traces at /trace, readiness at /healthz)"

@@ -12,11 +12,15 @@
 //! | fsync error storm | every WAL fsync fails | `wal::fsync` |
 //! | idle-conn flood | none — deadline/shedding handles it | — |
 //!
+//! Two regressions ride along: the connection cap holds as one total
+//! across reactor loops, and an fsync-stalled mutation always reaches
+//! `SLOWLOG` (`wal::fsync` delayed, not failed).
+//!
 //! The failpoint registry is process-global, so every test serializes on
 //! one mutex and clears all sites on entry and exit (including panic
 //! exits — the guard's `Drop` does the clearing).
 
-use std::io::Read;
+use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -410,6 +414,92 @@ fn idle_connection_flood_is_reaped_and_overflow_is_shed() {
     assert_eq!(pong, "+PONG");
     // Fault injection is locked unless explicitly enabled.
     expect_err_containing(&mut client, "FAILPOINT LIST", "failpoint admin disabled");
+    drop(client);
+    handle.shutdown().unwrap();
+}
+
+/// The live-connection cap is one total across reactor loops, not a
+/// per-loop share: with two loops, a cap of 2 and shedding, two
+/// back-to-back idle connections must both be held, whichever loops
+/// accept them, and only a third connection is told `-ERR busy`.
+#[test]
+fn connection_cap_is_one_total_across_reactor_loops() {
+    let _session = fault_session();
+    for round in 0..25 {
+        let engine = Arc::new(Engine::new());
+        let metrics = Arc::clone(engine.transport_metrics());
+        let (handle, addr) = start(
+            engine,
+            ServerConfig {
+                max_connections: 2,
+                evented_workers: 2,
+                shed_busy: true,
+                ..ServerConfig::default()
+            },
+        );
+        let idle: Vec<TcpStream> = (0..2)
+            .map(|_| {
+                let s = TcpStream::connect(addr).unwrap();
+                s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+                s
+            })
+            .collect();
+        // Wait until the server has admitted or shed both.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while {
+            let now = metrics.snapshot();
+            now.accepted + now.shed < 2
+        } {
+            assert!(Instant::now() < deadline, "round {round}: accepts stalled");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert_eq!(
+            metrics.snapshot().shed,
+            0,
+            "round {round}: an idle connection was shed below the cap"
+        );
+        for mut conn in &idle {
+            conn.write_all(b"PING\r\n").unwrap();
+            let mut pong = [0u8; 7];
+            conn.read_exact(&mut pong).unwrap();
+            assert_eq!(&pong, b"+PONG\r\n", "round {round}");
+        }
+        let mut over = TcpStream::connect(addr).unwrap();
+        over.set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        let mut reply = Vec::new();
+        over.read_to_end(&mut reply).unwrap();
+        assert_eq!(reply, b"-ERR busy\r\n", "round {round}");
+        drop(idle);
+        handle.shutdown().unwrap();
+    }
+}
+
+/// Mutations are clock-timed on every dispatch, not sampled: with every
+/// WAL fsync stalled 20 ms, each `INSERT` lands in `SLOWLOG` with its
+/// full duration.
+#[test]
+fn every_fsync_stalled_mutation_reaches_the_slowlog() {
+    let _session = fault_session();
+    let dir = temp_dir("slowlog");
+    let engine = Arc::new(Engine::new());
+    let (handle, addr) = start(engine, wal_config(&dir, 1_000_000, FsyncPolicy::Always));
+    let mut client = Client::connect(addr).unwrap();
+    expect_ok(&mut client, "CREATE flows shbf-m 20000 8 2 7");
+    failpoint::set("wal::fsync", failpoint::Action::Delay(20));
+    expect_ok(&mut client, "SLOWLOG RESET");
+    for i in 0..8 {
+        expect_ok(&mut client, &format!("INSERT flows stalled-{i}"));
+    }
+    assert_eq!(client.send_expect_one("SLOWLOG LEN").unwrap(), ":8");
+    let entries = client.send("SLOWLOG GET 8").unwrap();
+    assert_eq!(entries[0], "*8", "{entries:?}");
+    for entry in &entries[1..] {
+        // `+<id> <unix_ts> <duration_us> ... <summary>`
+        let duration_us: u64 = entry.split_whitespace().nth(2).unwrap().parse().unwrap();
+        assert!(duration_us >= 20_000, "entry under the stall: {entry}");
+        assert!(entry.contains("INSERT flows"), "{entry}");
+    }
     drop(client);
     handle.shutdown().unwrap();
 }

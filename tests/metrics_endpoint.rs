@@ -8,13 +8,12 @@ use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 
-use shbf::server::{Client, Engine, Server, ServerConfig, TransportKind};
+use shbf::server::{Client, Engine, Server, ServerConfig};
 
 /// Starts a server with the metrics endpoint on an ephemeral port.
 fn start_observable(slowlog_us: u64) -> (shbf::server::ServerHandle, SocketAddr, SocketAddr) {
     let engine = Arc::new(Engine::new());
     let config = ServerConfig {
-        transport: TransportKind::Threaded,
         metrics_addr: Some("127.0.0.1:0".into()),
         slowlog_us,
         ..ServerConfig::default()
@@ -25,6 +24,15 @@ fn start_observable(slowlog_us: u64) -> (shbf::server::ServerHandle, SocketAddr,
     let addr = handle.addr();
     assert_eq!(handle.metrics_addr(), Some(metrics_addr));
     (handle, addr, metrics_addr)
+}
+
+/// The value of one exposition series (`name{labels}`), which must exist.
+fn sample(body: &str, series: &str) -> f64 {
+    body.lines()
+        .find_map(|line| line.strip_prefix(series)?.strip_prefix(' '))
+        .unwrap_or_else(|| panic!("missing `{series}` in:\n{body}"))
+        .parse()
+        .unwrap()
 }
 
 /// One HTTP/1.0-style scrape: request, full response, split head/body.
@@ -299,12 +307,11 @@ fn scrape_under_pipelined_load_is_valid_and_complete() {
     // The layers all showed up with the expected values.
     for needle in [
         "shbf_commands_total{cmd=\"insert\"} 700",
-        "shbf_commands_total{cmd=\"query\"} 900",
+        // Pipelined QUERYs ride the reactor's coalesced batch path: each
+        // run of adjacent QUERYs counts once as `mquery`, never as
+        // `query`, however the stream was segmented.
+        "shbf_commands_total{cmd=\"query\"} 0",
         "shbf_commands_total{cmd=\"create\"} 3",
-        // Batched commands are timed on every dispatch; single-key
-        // QUERY timing is clock-sampled (1/64), so only its total is
-        // asserted exactly above.
-        "shbf_command_duration_seconds_bucket{cmd=\"mquery\",le=\"+Inf\"} 1",
         "shbf_namespace_inserts_total{ns=\"flows\"} 500",
         "shbf_namespace_hits_total{ns=\"flows\"} 502", // 500 QUERY + 2 MQUERY hits
         "shbf_namespace_estimated_fpr{ns=\"flows\"}",
@@ -320,6 +327,25 @@ fn scrape_under_pipelined_load_is_valid_and_complete() {
     // No WAL configured: WAL families stay absent rather than lying with
     // zeros.
     assert!(!body.contains("shbf_wal_"));
+    // Per-namespace verdicts count keys, not dispatches: 500 QUERYs plus
+    // 4 MQUERY keys on `flows`, 400 QUERYs on `sizes`.
+    for (ns, keys) in [("flows", 504.0), ("sizes", 400.0)] {
+        let answered = sample(&body, &format!("shbf_namespace_hits_total{{ns=\"{ns}\"}}"))
+            + sample(
+                &body,
+                &format!("shbf_namespace_misses_total{{ns=\"{ns}\"}}"),
+            );
+        assert_eq!(answered, keys, "{ns}: hits + misses");
+    }
+    // Every batch dispatch — coalesced QUERY runs and the explicit
+    // MQUERY alike — is timed, so the histogram sees each one.
+    assert_eq!(
+        sample(
+            &body,
+            "shbf_command_duration_seconds_bucket{cmd=\"mquery\",le=\"+Inf\"}"
+        ),
+        sample(&body, "shbf_commands_total{cmd=\"mquery\"}")
+    );
 
     // Routing.
     let (head404, _) = scrape(metrics_addr, "GET", "/other");

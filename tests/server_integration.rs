@@ -7,19 +7,11 @@
 use std::net::SocketAddr;
 use std::sync::Arc;
 
-use shbf::server::{Client, Engine, Server, ServerConfig, TransportKind};
+use shbf::server::{Client, Engine, Server, ServerConfig};
 
 fn start_server() -> (shbf::server::ServerHandle, SocketAddr) {
-    start_server_with(TransportKind::Threaded)
-}
-
-fn start_server_with(transport: TransportKind) -> (shbf::server::ServerHandle, SocketAddr) {
     let engine = Arc::new(Engine::new());
-    let config = ServerConfig {
-        transport,
-        ..ServerConfig::default()
-    };
-    let server = Server::bind("127.0.0.1:0", engine, config).unwrap();
+    let server = Server::bind("127.0.0.1:0", engine, ServerConfig::default()).unwrap();
     let handle = server.spawn().unwrap();
     let addr = handle.addr();
     (handle, addr)
@@ -115,7 +107,7 @@ fn four_concurrent_clients_no_false_negatives() {
 
 #[test]
 fn evented_concurrent_pipelined_clients_no_false_negatives() {
-    let (handle, addr) = start_server_with(TransportKind::Evented);
+    let (handle, addr) = start_server();
 
     let mut admin = Client::connect(addr).unwrap();
     expect_ok(

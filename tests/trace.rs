@@ -14,7 +14,7 @@ use std::net::{SocketAddr, TcpStream};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use shbf::server::{Client, Engine, Server, ServerConfig, ServerHandle, TransportKind};
+use shbf::server::{Client, Engine, Server, ServerConfig, ServerHandle};
 
 static SERIAL: Mutex<()> = Mutex::new(());
 
@@ -384,7 +384,6 @@ fn validate_chrome_trace(body: &str) -> Vec<Event> {
 fn trace_scrape_under_pipelined_load_is_valid_chrome_json() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let (handle, addr, metrics_addr) = start(ServerConfig {
-        transport: TransportKind::Evented,
         metrics_addr: Some("127.0.0.1:0".into()),
         trace_sample: 1,
         ..ServerConfig::default()

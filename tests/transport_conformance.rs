@@ -1,64 +1,45 @@
-//! Transport-conformance harness: every transport, one wire truth.
+//! Transport-conformance harness: one wire truth over both socket
+//! families.
 //!
 //! A table of scripted sessions (pipelined query runs, `MINSERT`
-//! bulk-loads, oversize lines, UTF-8 garbage, abrupt disconnects
-//! mid-line, backpressure floods) is replayed against **threaded TCP,
-//! evented TCP, threaded UNIX, and evented UNIX** servers, and every
-//! response stream must be byte-identical across all of them — the
-//! acceptance gate for the reactor's edge-triggered readiness, vectored
-//! writev flushing, and UNIX-socket listener being invisible on the
-//! wire. It extends `tests/protocol_segmentation.rs`'s
-//! split-at-every-boundary replay to the new writev path and both socket
-//! families, and pins down the eventfd-shutdown contract: bounded
-//! latency (no poll-timeout stall) with in-flight replies flushed before
-//! close.
+//! bulk-loads, the cross-namespace `WHICH`/multiset verbs, oversize
+//! lines, UTF-8 garbage) is replayed against the server **over TCP and
+//! over a UNIX-domain socket**, and every response stream must be
+//! byte-identical to the in-process oracle (`tests/oracle`), which
+//! evaluates the script one line at a time through scalar dispatch — the
+//! acceptance gate for the reactor's edge-triggered readiness, `QUERY`
+//! coalescing, vectored writev flushing, and UNIX-socket listener being
+//! invisible on the wire. It extends `tests/protocol_segmentation.rs`'s
+//! split-at-every-boundary replay to the writev path, and pins down
+//! mid-line disconnects, backpressure floods, and the eventfd-shutdown
+//! contract: bounded latency (no poll-timeout stall) with in-flight
+//! replies flushed before close.
+
+mod oracle;
 
 use std::io::{Read, Write};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use shbf::server::{Client, Endpoint, Engine, Server, ServerConfig, ServerHandle, TransportKind};
+use shbf::server::{Client, Endpoint, Engine, Server, ServerConfig, ServerHandle};
 
-/// One transport × socket combination under test.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Case {
-    ThreadedTcp,
-    EventedTcp,
-    ThreadedUnix,
-    EventedUnix,
+/// The socket families every case runs over.
+#[derive(Debug, Clone, Copy)]
+enum Socket {
+    Tcp,
+    Unix,
 }
 
-impl Case {
-    fn transport(self) -> TransportKind {
-        match self {
-            Case::ThreadedTcp | Case::ThreadedUnix => TransportKind::Threaded,
-            Case::EventedTcp | Case::EventedUnix => TransportKind::Evented,
-        }
-    }
-
-    fn is_unix(self) -> bool {
-        matches!(self, Case::ThreadedUnix | Case::EventedUnix)
-    }
-}
-
-/// All cases this platform can run (UNIX sockets need a UNIX target).
-fn cases() -> Vec<Case> {
-    let mut all = vec![Case::ThreadedTcp, Case::EventedTcp];
-    if cfg!(unix) {
-        all.push(Case::ThreadedUnix);
-        all.push(Case::EventedUnix);
-    }
-    all
-}
+const SOCKETS: [Socket; 2] = [Socket::Tcp, Socket::Unix];
 
 static SOCKET_COUNTER: AtomicU64 = AtomicU64::new(0);
 
-fn start_with(case: Case, config: ServerConfig) -> ServerHandle {
+fn start_with(socket: Socket, config: ServerConfig) -> ServerHandle {
     let engine = Arc::new(Engine::new());
-    let server = if case.is_unix() {
-        #[cfg(unix)]
-        {
+    let server = match socket {
+        Socket::Tcp => Server::bind("127.0.0.1:0", engine, config).unwrap(),
+        Socket::Unix => {
             let path = std::env::temp_dir().join(format!(
                 "shbf-conformance-{}-{}.sock",
                 std::process::id(),
@@ -66,47 +47,39 @@ fn start_with(case: Case, config: ServerConfig) -> ServerHandle {
             ));
             Server::bind_unix(path, engine, config).unwrap()
         }
-        #[cfg(not(unix))]
-        unreachable!("unix cases are filtered out on non-unix targets")
-    } else {
-        Server::bind("127.0.0.1:0", engine, config).unwrap()
     };
     server.spawn().unwrap()
 }
 
-fn start(case: Case) -> ServerHandle {
-    start_with(
-        case,
-        ServerConfig {
-            transport: case.transport(),
-            ..ServerConfig::default()
-        },
-    )
+fn start(socket: Socket) -> ServerHandle {
+    start_with(socket, ServerConfig::default())
 }
 
-/// Creates the namespaces the scripts exercise. Scripts are replayable:
-/// their mutations (re-`INSERT`/`MINSERT` of the same keys) never change
-/// any reply a later replay reads.
+/// The namespaces the scripts exercise. Scripts are replayable: their
+/// mutations (re-`INSERT`/`MINSERT` of the same keys) never change any
+/// reply a later replay reads.
+const SEED: &[&str] = &[
+    "CREATE flows shbf-m 140000 8 4 7",
+    "CREATE sizes shbf-x 8192 6 30 3",
+    "CREATE assoc shbf-a 8192 6 5",
+    "INSERT flows seg-a",
+    "INSERT sizes hot",
+    "INSERT sizes hot",
+    "INSERT assoc file-1 1",
+];
+
 fn seed_state(endpoint: &Endpoint) {
     let mut c = Client::connect_endpoint(endpoint).unwrap();
-    for cmd in [
-        "CREATE flows shbf-m 140000 8 4 7",
-        "CREATE sizes shbf-x 8192 6 30 3",
-        "CREATE assoc shbf-a 8192 6 5",
-        "INSERT flows seg-a",
-        "INSERT sizes hot",
-        "INSERT sizes hot",
-        "INSERT assoc file-1 1",
-    ] {
+    for cmd in SEED {
         let reply = c.send_expect_one(cmd).unwrap();
         assert!(!reply.starts_with('-'), "seed `{cmd}` failed: {reply}");
     }
 }
 
-/// The main conformance script: pipelined query runs (the evented
-/// transport batches them), `MINSERT` bulk-load feeding the new writev
-/// path, namespace switches, every backend, interleaved errors, blank
-/// lines. Ends in QUIT so `read_to_end` terminates deterministically.
+/// The main conformance script: pipelined query runs (the reactor
+/// batches them), `MINSERT` bulk-load feeding the writev path, namespace
+/// switches, every backend, interleaved errors, blank lines. Ends in
+/// QUIT so `read_to_end` terminates deterministically.
 fn main_script() -> Vec<u8> {
     let mut s = Vec::new();
     s.extend_from_slice(b"PING\r\n");
@@ -123,6 +96,37 @@ fn main_script() -> Vec<u8> {
     s.extend_from_slice(b"\n\r\n   \r\n");
     s.extend_from_slice(b"STATS ghost\n");
     s.extend_from_slice(b"QUIT\r\n");
+    s
+}
+
+/// The cross-namespace verbs end to end: multiset lifecycle, `WHICH`
+/// across kinds, a batched `MWHICH`, and the error shapes. Creates its
+/// own namespaces, so it runs unseeded.
+fn which_multiset_script() -> Vec<u8> {
+    let lines = [
+        "CREATE flows shbf-m 120000 8 4 7",
+        "CREATE tags multiset 8192 4 8 7",
+        "CREATE gw shbf-a 8192 6",
+        "INSERT flows shared-key",
+        "MSINSERT tags shared-key 3",
+        "MSINSERT tags shared-key 3",
+        "MSINSERT tags other-key 5",
+        "INSERT gw solo-key 1",
+        "MSQUERY tags shared-key",
+        "QUERY tags shared-key",
+        "WHICH shared-key",
+        "WHICH solo-key",
+        "WHICH never-anywhere-xyzzy",
+        "MWHICH shared-key solo-key other-key never-anywhere-xyzzy",
+        "MSDELETE tags shared-key 3",
+        "MSDELETE tags shared-key 3",
+        "WHICH shared-key",
+        "MSINSERT flows bad-kind 1",
+        "MSQUERY gw bad-kind",
+        "INSERT tags bad-verb",
+    ];
+    let mut s = lines.join("\n").into_bytes();
+    s.push(b'\n');
     s
 }
 
@@ -150,7 +154,7 @@ fn scripted_sessions_are_byte_identical_across_all_transports() {
     struct Script {
         name: &'static str,
         bytes: Vec<u8>,
-        seeded: bool,
+        seed: &'static [&'static str],
     }
     let oversize = vec![b'x'; (1 << 20) + 2];
     let mut utf8 = b"PING\n".to_vec();
@@ -160,65 +164,65 @@ fn scripted_sessions_are_byte_identical_across_all_transports() {
         Script {
             name: "pipelined_mixed",
             bytes: main_script(),
-            seeded: true,
+            seed: SEED,
+        },
+        Script {
+            name: "which_multiset",
+            bytes: which_multiset_script(),
+            seed: &[],
+        },
+        Script {
+            name: "create_insert_query",
+            bytes: b"PING\nCREATE u shbf-m 65536 8\nINSERT u key\nQUERY u key\n".to_vec(),
+            seed: &[],
         },
         Script {
             name: "unterminated_tail",
             bytes: b"PING\nPING".to_vec(),
-            seeded: false,
+            seed: &[],
         },
         Script {
             name: "utf8_garbage",
             bytes: utf8,
-            seeded: false,
+            seed: &[],
         },
         Script {
             name: "oversize_line",
             bytes: oversize,
-            seeded: false,
+            seed: &[],
         },
     ];
     for script in &scripts {
-        let mut streams: Vec<(Case, Vec<u8>)> = Vec::new();
-        for case in cases() {
-            let handle = start(case);
-            if script.seeded {
+        let reference = oracle::replies(script.seed, &script.bytes);
+        assert!(!reference.is_empty(), "`{}`: no reply", script.name);
+        for socket in SOCKETS {
+            let handle = start(socket);
+            if !script.seed.is_empty() {
                 seed_state(handle.endpoint());
             }
             let got = drive(handle.endpoint(), &[&script.bytes], Duration::ZERO);
-            assert!(!got.is_empty(), "{case:?}: `{}` got no reply", script.name);
-            streams.push((case, got));
-            handle.shutdown().unwrap();
-        }
-        let (ref_case, reference) = &streams[0];
-        for (case, got) in &streams[1..] {
             assert_eq!(
-                String::from_utf8_lossy(got),
-                String::from_utf8_lossy(reference),
-                "`{}`: {case:?} diverges from {ref_case:?}",
+                String::from_utf8_lossy(&got),
+                String::from_utf8_lossy(&reference),
+                "`{}`: {socket:?} diverges from the oracle",
                 script.name
             );
+            handle.shutdown().unwrap();
         }
+    }
+    // The WHICH script reaches the answers it was written for.
+    let which = String::from_utf8(oracle::replies(&[], &which_multiset_script())).unwrap();
+    for answer in ["*2\r\n+flows\r\n+tags\r\n", "*1\r\n+gw\r\n", "*0\r\n"] {
+        assert!(which.contains(answer), "missing {answer:?} in {which:?}");
     }
 }
 
 #[test]
 fn evented_writev_path_survives_every_split_point_on_tcp_and_unix() {
-    // Reference stream from the portable threaded transport.
-    let reference = {
-        let handle = start(Case::ThreadedTcp);
-        seed_state(handle.endpoint());
-        let r = drive(handle.endpoint(), &[&main_script()], Duration::ZERO);
-        handle.shutdown().unwrap();
-        r
-    };
     let script = main_script();
-    let mut evented = vec![Case::EventedTcp];
-    if cfg!(unix) {
-        evented.push(Case::EventedUnix);
-    }
-    for case in evented {
-        let handle = start(case);
+    let reference = oracle::replies(SEED, &script);
+    for socket in SOCKETS {
+        let handle = start(socket);
         seed_state(handle.endpoint());
         for i in 1..script.len() {
             let got = drive(
@@ -229,7 +233,7 @@ fn evented_writev_path_survives_every_split_point_on_tcp_and_unix() {
             assert_eq!(
                 String::from_utf8_lossy(&got),
                 String::from_utf8_lossy(&reference),
-                "{case:?}: divergence when split at byte {i}"
+                "{socket:?}: divergence when split at byte {i}"
             );
         }
         handle.shutdown().unwrap();
@@ -238,7 +242,7 @@ fn evented_writev_path_survives_every_split_point_on_tcp_and_unix() {
 
 #[test]
 fn abrupt_disconnect_mid_line_leaves_the_server_serving() {
-    for case in cases() {
+    for case in SOCKETS {
         let handle = start(case);
         seed_state(handle.endpoint());
         {
@@ -283,15 +287,10 @@ fn backpressure_soak_keeps_replies_exact_and_counts_pause_resume() {
     // STATS amplifies ~20x (short request, long reply), so a pipelined
     // flood outruns kernel socket buffering and trips the (tiny)
     // high-water mark while the client deliberately reads nothing.
-    let mut soak_cases = vec![Case::EventedTcp];
-    if cfg!(unix) {
-        soak_cases.push(Case::EventedUnix);
-    }
-    for case in soak_cases {
+    for case in SOCKETS {
         let handle = start_with(
             case,
             ServerConfig {
-                transport: case.transport(),
                 write_high_water: 1 << 12,
                 ..ServerConfig::default()
             },
@@ -364,11 +363,11 @@ fn backpressure_soak_keeps_replies_exact_and_counts_pause_resume() {
 
 #[test]
 fn eventfd_shutdown_is_bounded_and_flushes_in_flight_replies() {
-    // Regression: the evented transport used to observe shutdown only on
-    // its epoll-wait timeout. With the eventfd waker the loops block with
-    // NO timeout — if the wakeup were lost, this join would hang forever,
+    // Regression: the reactor used to observe shutdown only on its
+    // epoll-wait timeout. With the eventfd waker the loops block with NO
+    // timeout — if the wakeup were lost, this join would hang forever,
     // and any poll-timeout reintroduction shows up as latency.
-    for case in [Case::EventedTcp, Case::ThreadedTcp] {
+    for case in SOCKETS {
         let handle = start(case);
         seed_state(handle.endpoint());
         // In-flight replies — including the SHUTDOWN farewell — must all
@@ -392,7 +391,7 @@ fn eventfd_shutdown_is_bounded_and_flushes_in_flight_replies() {
 
     // Idle-server variant: loops are parked in a timeout-less epoll_wait
     // with an idle connection; only the waker can end the join.
-    let handle = start(Case::EventedTcp);
+    let handle = start(Socket::Tcp);
     let _idle = handle.endpoint().connect().unwrap();
     std::thread::sleep(Duration::from_millis(50));
     let started = Instant::now();
@@ -406,7 +405,7 @@ fn eventfd_shutdown_is_bounded_and_flushes_in_flight_replies() {
 
 #[test]
 fn stats_transport_counts_traffic_on_every_transport() {
-    for case in cases() {
+    for case in SOCKETS {
         let handle = start(case);
         seed_state(handle.endpoint());
         let mut c = Client::connect_endpoint(handle.endpoint()).unwrap();

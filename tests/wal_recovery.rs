@@ -378,3 +378,46 @@ fn corrupt_snapshot_load_is_rejected_cleanly() {
     handle.shutdown().unwrap();
     std::fs::remove_dir_all(&data_dir).ok();
 }
+
+#[test]
+fn hostile_snapshot_counts_are_refused_and_the_server_keeps_serving() {
+    // The CRC is not authentication: a crafted file can carry a valid
+    // checksum and still claim 2^62 entries. Both decoders on the LOAD
+    // path — the snapshot container's namespace count and a membership
+    // payload's shard count — must refuse it instead of pre-allocating.
+    let data_dir = temp_dir("hostile-count");
+    use shbf::bits::{Reader, Writer};
+    use shbf::server::snapshot::SNAPSHOT_KIND;
+    let mut container = Writer::new(SNAPSHOT_KIND);
+    container.u64(1 << 62);
+    std::fs::write(data_dir.join("namespaces.snap"), container.finish()).unwrap();
+    // The sharded shbf-m codec kind; checked against a real blob so the
+    // payload below fails on its count, not on a kind mismatch.
+    const SHARDED_KIND: u16 = 9;
+    let real = shbf::concurrent::ShardedCShbfM::new(4096, 4, 2, 7).unwrap();
+    assert!(Reader::new(&real.to_bytes(), SHARDED_KIND).is_ok());
+    let mut shards = Writer::new(SHARDED_KIND);
+    shards.u64(7).u64(1 << 62);
+    let mut nested = Writer::new(SNAPSHOT_KIND);
+    nested.u64(1).bytes(b"flows").u8(1).bytes(&shards.finish());
+    std::fs::write(data_dir.join("shards.snap"), nested.finish()).unwrap();
+
+    let engine = Arc::new(Engine::new());
+    let config = ServerConfig {
+        data_dir: Some(data_dir.clone()),
+        ..ServerConfig::default()
+    };
+    let handle = Server::bind("127.0.0.1:0", engine, config)
+        .unwrap()
+        .spawn()
+        .unwrap();
+    let mut client = Client::connect(handle.addr()).unwrap();
+    for bad in ["namespaces.snap", "shards.snap"] {
+        let reply = client.send_expect_one(&format!("LOAD {bad}")).unwrap();
+        assert!(reply.starts_with("-ERR"), "`LOAD {bad}` replied `{reply}`");
+        assert_eq!(client.send_expect_one("PING").unwrap(), "+PONG");
+    }
+    drop(client);
+    handle.shutdown().unwrap();
+    std::fs::remove_dir_all(&data_dir).ok();
+}
