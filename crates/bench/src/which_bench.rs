@@ -11,7 +11,6 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use shbf_server::registry::Backend;
 use shbf_server::{parse_command, Command, Engine, QueryScratch, Response};
 
 /// Workload shape for [`run`].
@@ -73,15 +72,7 @@ fn median(mut xs: Vec<f64>) -> f64 {
 fn brute_force(namespaces: &[Arc<shbf_server::Namespace>], key: &[u8]) -> Vec<String> {
     namespaces
         .iter()
-        .filter(|ns| match &ns.backend {
-            Backend::Membership(f) => f.contains(key),
-            Backend::Multiplicity(f) => f.read().query(key).reported > 0,
-            Backend::Association(f) => !matches!(
-                f.read().query(key),
-                shbf_core::AssociationAnswer::NotInUnion
-            ),
-            Backend::MultiSet(f) => f.read().query(key) != 0,
-        })
+        .filter(|ns| ns.backend.contains(key, None))
         .map(|ns| ns.name.clone())
         .collect()
 }

@@ -50,7 +50,7 @@ impl BitArray {
     /// Panics if `i >= len()`.
     #[inline]
     pub fn get(&self, i: usize) -> bool {
-        debug_assert!(
+        assert!(
             i < self.len_bits,
             "bit index {i} out of range {}",
             self.len_bits

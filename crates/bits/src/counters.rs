@@ -8,9 +8,9 @@
 /// A fixed-length array of `z`-bit saturating counters packed into `u64`s.
 ///
 /// Counter widths from 1 to 32 bits are supported. Increments saturate at
-/// `2^z − 1` (the classic CBF overflow policy: the counter sticks at max and
-/// can no longer be decremented reliably; [`CounterArray::saturations`]
-/// reports how often that happened so callers can size `z` properly).
+/// `2^z − 1` (the classic CBF overflow policy: a counter at max sticks there
+/// and is never decremented; [`CounterArray::saturations`] reports how
+/// often an increment overflowed so callers can size `z` properly).
 #[derive(Clone, PartialEq, Eq)]
 pub struct CounterArray {
     words: Box<[u64]>,
@@ -149,16 +149,19 @@ impl CounterArray {
         }
     }
 
-    /// Decrements counter `i`. Saturated counters stick at the maximum
-    /// (standard CBF policy — decrementing them could create false
-    /// negatives). Returns the new value, or `None` if the counter was 0.
+    /// Decrements counter `i`. A counter at the maximum sticks there
+    /// (standard CBF policy — decrementing it could create false
+    /// negatives). Stickiness depends on the value alone, so equal bytes
+    /// behave alike whatever their history: a decoded array, which
+    /// cannot know which counters overflowed, decrements exactly like the
+    /// one that was encoded. Returns the new value, or `None` if the
+    /// counter was 0.
     #[inline]
     pub fn dec(&mut self, i: usize) -> Option<u64> {
         let v = self.get(i);
         if v == 0 {
             None
-        } else if v == self.max && self.saturations > 0 {
-            // Sticky: we can no longer prove the true count is max, so leave it.
+        } else if v == self.max {
             Some(v)
         } else {
             self.set(i, v - 1);
@@ -264,6 +267,20 @@ mod tests {
         }
         assert_eq!(c.get(3), 0);
         assert_eq!(c.dec(3), None);
+    }
+
+    #[test]
+    fn a_counter_at_max_sticks_after_decode() {
+        let mut c = CounterArray::new(2, 2); // max 3
+        for _ in 0..3 {
+            c.inc(0);
+        }
+        assert_eq!(c.saturations(), 0, "reaching max is not an overflow");
+        let mut decoded = CounterArray::from_words(c.as_words().to_vec(), 2, 2);
+        for counters in [&mut c, &mut decoded] {
+            assert_eq!(counters.dec(0), Some(3));
+            assert_eq!(counters.get(0), 3);
+        }
     }
 
     #[test]

@@ -21,7 +21,7 @@ use shbf_hash::fnv::FnvHashSet;
 use shbf_hash::{FamilyKind, HashAlg, PreparedKey, QueryFamily};
 
 use crate::error::ShbfError;
-use crate::BATCH_CHUNK;
+use crate::Step;
 
 /// The seven possible answers of an association query (§4.2), plus a
 /// defensive eighth for elements outside `S1 ∪ S2` (the paper assumes
@@ -70,6 +70,29 @@ impl AssociationAnswer {
             (true, true, true) => AssociationAnswer::Union,
             (false, false, false) => AssociationAnswer::NotInUnion,
         }
+    }
+
+    /// The §4.2 probe: ANDs the three region bits of the `o2 + 1`-bit
+    /// window at each position and stops once all three regions are ruled
+    /// out. Positions are pulled lazily, so a scalar query hashes only the
+    /// positions it probes.
+    pub(crate) fn probe(
+        bits: &BitArray,
+        positions: impl IntoIterator<Item = usize>,
+        o1: usize,
+        o2: usize,
+    ) -> Self {
+        let (mut c0, mut c1, mut c2) = (true, true, true);
+        for pos in positions {
+            let win = bits.read_window(pos, o2 + 1);
+            c0 &= win & 1 == 1;
+            c1 &= (win >> o1) & 1 == 1;
+            c2 &= (win >> o2) & 1 == 1;
+            if !(c0 || c1 || c2) {
+                break;
+            }
+        }
+        Self::from_flags(c0, c1, c2)
     }
 }
 
@@ -307,20 +330,8 @@ impl ShbfA {
     /// region candidates are dead.
     pub fn query(&self, item: &[u8]) -> AssociationAnswer {
         let key = self.family.prepare(item);
-        let o1 = self.o1_of(&key);
-        let o2 = self.o2_of(&key);
-        let (mut c0, mut c1, mut c2) = (true, true, true);
-        for i in 0..self.k {
-            let pos = shbf_hash::range_reduce(key.index(i), self.m);
-            let win = self.bits.read_window(pos, o2 + 1);
-            c0 &= win & 1 == 1;
-            c1 &= (win >> o1) & 1 == 1;
-            c2 &= (win >> o2) & 1 == 1;
-            if !(c0 || c1 || c2) {
-                break;
-            }
-        }
-        AssociationAnswer::from_flags(c0, c1, c2)
+        let positions = (0..self.k).map(|i| shbf_hash::range_reduce(key.index(i), self.m));
+        AssociationAnswer::probe(&self.bits, positions, self.o1_of(&key), self.o2_of(&key))
     }
 
     /// Batched association queries, one answer per element in input order,
@@ -333,8 +344,7 @@ impl ShbfA {
     }
 
     /// [`Self::query_batch`] writing into a caller-owned buffer (cleared
-    /// first), sparing the reply-buffer allocation per batch (the pipeline's
-    /// small fixed stage buffers are still allocated per call).
+    /// first), sparing the reply-buffer allocation per batch.
     pub fn query_batch_into<T: AsRef<[u8]>>(&self, items: &[T], out: &mut Vec<AssociationAnswer>) {
         self.query_batch_map(items, out, |a| a);
     }
@@ -358,33 +368,15 @@ impl ShbfA {
     ) {
         out.clear();
         out.reserve(items.len());
-        let k = self.k;
-        let mut positions = vec![0usize; BATCH_CHUNK * k];
-        let mut offsets = [(0usize, 0usize); BATCH_CHUNK];
-        for chunk in items.chunks(BATCH_CHUNK) {
-            for (j, item) in chunk.iter().enumerate() {
-                let key = self.family.prepare(item.as_ref());
-                offsets[j] = (self.o1_of(&key), self.o2_of(&key));
-                for (i, slot) in positions[j * k..(j + 1) * k].iter_mut().enumerate() {
-                    let pos = shbf_hash::range_reduce(key.index(i), self.m);
-                    *slot = pos;
-                    self.bits.prefetch(pos);
-                }
+        let offsets = |key: &PreparedKey<'_>| (self.o1_of(key), self.o2_of(key));
+        let probe = |step: Step<'_, (usize, usize)>| match step {
+            Step::Prefetch(pos) => self.bits.prefetch(pos),
+            Step::Visit(positions, (o1, o2)) => {
+                let positions = positions.iter().copied();
+                out.push(f(AssociationAnswer::probe(&self.bits, positions, o1, o2)));
             }
-            for (j, &(o1, o2)) in offsets.iter().enumerate().take(chunk.len()) {
-                let (mut c0, mut c1, mut c2) = (true, true, true);
-                for &pos in &positions[j * k..(j + 1) * k] {
-                    let win = self.bits.read_window(pos, o2 + 1);
-                    c0 &= win & 1 == 1;
-                    c1 &= (win >> o1) & 1 == 1;
-                    c2 &= (win >> o2) & 1 == 1;
-                    if !(c0 || c1 || c2) {
-                        break;
-                    }
-                }
-                out.push(f(AssociationAnswer::from_flags(c0, c1, c2)));
-            }
-        }
+        };
+        crate::pipeline(items, &self.family, self.m, self.k, offsets, probe);
     }
 
     /// Association query with **eager hashing**: all `k + 2` hash values
@@ -407,17 +399,7 @@ impl ShbfA {
         for (i, slot) in positions[..self.k].iter_mut().enumerate() {
             *slot = shbf_hash::range_reduce(key.index(i), self.m);
         }
-        let (mut c0, mut c1, mut c2) = (true, true, true);
-        for &pos in &positions[..self.k] {
-            let win = self.bits.read_window(pos, o2 + 1);
-            c0 &= win & 1 == 1;
-            c1 &= (win >> o1) & 1 == 1;
-            c2 &= (win >> o2) & 1 == 1;
-            if !(c0 || c1 || c2) {
-                break;
-            }
-        }
-        AssociationAnswer::from_flags(c0, c1, c2)
+        AssociationAnswer::probe(&self.bits, positions[..self.k].iter().copied(), o1, o2)
     }
 
     /// [`Self::query`] with accounting: 2 offset hashes up front (for the
@@ -426,23 +408,15 @@ impl ShbfA {
     pub fn query_profiled(&self, item: &[u8], stats: &mut AccessStats) -> AssociationAnswer {
         stats.record_hashes(self.family.probe_cost(0) + self.family.probe_cost(1));
         let key = self.family.prepare(item);
-        let o1 = self.o1_of(&key);
-        let o2 = self.o2_of(&key);
-        let (mut c0, mut c1, mut c2) = (true, true, true);
-        for i in 0..self.k {
+        let positions = (0..self.k).map(|i| {
             stats.record_hashes(self.family.probe_cost(i + 2));
             stats.record_reads(1);
-            let pos = shbf_hash::range_reduce(key.index(i), self.m);
-            let win = self.bits.read_window(pos, o2 + 1);
-            c0 &= win & 1 == 1;
-            c1 &= (win >> o1) & 1 == 1;
-            c2 &= (win >> o2) & 1 == 1;
-            if !(c0 || c1 || c2) {
-                break;
-            }
-        }
+            shbf_hash::range_reduce(key.index(i), self.m)
+        });
+        let answer =
+            AssociationAnswer::probe(&self.bits, positions, self.o1_of(&key), self.o2_of(&key));
         stats.finish_op();
-        AssociationAnswer::from_flags(c0, c1, c2)
+        answer
     }
 
     /// Serializes the filter.

@@ -15,7 +15,7 @@ use shbf_hash::{FamilyKind, HashAlg, PreparedKey, QueryFamily};
 
 use crate::association::AssociationAnswer;
 use crate::error::ShbfError;
-use crate::BATCH_CHUNK;
+use crate::Step;
 
 /// Which of the two sets an update targets.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -236,20 +236,8 @@ impl CShbfA {
     /// semantics to [`crate::ShbfA::query`].
     pub fn query(&self, item: &[u8]) -> AssociationAnswer {
         let key = self.family.prepare(item);
-        let o1 = self.o1_of(&key);
-        let o2 = self.o2_of(&key);
-        let (mut c0, mut c1, mut c2) = (true, true, true);
-        for i in 0..self.k {
-            let pos = shbf_hash::range_reduce(key.index(i), self.m);
-            let win = self.bits.read_window(pos, o2 + 1);
-            c0 &= win & 1 == 1;
-            c1 &= (win >> o1) & 1 == 1;
-            c2 &= (win >> o2) & 1 == 1;
-            if !(c0 || c1 || c2) {
-                break;
-            }
-        }
-        AssociationAnswer::from_flags(c0, c1, c2)
+        let positions = (0..self.k).map(|i| shbf_hash::range_reduce(key.index(i), self.m));
+        AssociationAnswer::probe(&self.bits, positions, self.o1_of(&key), self.o2_of(&key))
     }
 
     /// Batched association queries against the bit mirror, one answer per
@@ -261,8 +249,7 @@ impl CShbfA {
     }
 
     /// [`Self::query_batch`] writing into a caller-owned buffer (cleared
-    /// first), sparing the reply-buffer allocation per batch (the pipeline's
-    /// small fixed stage buffers are still allocated per call).
+    /// first), sparing the reply-buffer allocation per batch.
     pub fn query_batch_into<T: AsRef<[u8]>>(&self, items: &[T], out: &mut Vec<AssociationAnswer>) {
         self.query_batch_map(items, out, |a| a);
     }
@@ -290,33 +277,15 @@ impl CShbfA {
     ) {
         out.clear();
         out.reserve(items.len());
-        let k = self.k;
-        let mut positions = vec![0usize; BATCH_CHUNK * k];
-        let mut offsets = [(0usize, 0usize); BATCH_CHUNK];
-        for chunk in items.chunks(BATCH_CHUNK) {
-            for (j, item) in chunk.iter().enumerate() {
-                let key = self.family.prepare(item.as_ref());
-                offsets[j] = (self.o1_of(&key), self.o2_of(&key));
-                for (i, slot) in positions[j * k..(j + 1) * k].iter_mut().enumerate() {
-                    let pos = shbf_hash::range_reduce(key.index(i), self.m);
-                    *slot = pos;
-                    self.bits.prefetch(pos);
-                }
+        let offsets = |key: &PreparedKey<'_>| (self.o1_of(key), self.o2_of(key));
+        let probe = |step: Step<'_, (usize, usize)>| match step {
+            Step::Prefetch(pos) => self.bits.prefetch(pos),
+            Step::Visit(positions, (o1, o2)) => {
+                let positions = positions.iter().copied();
+                out.push(f(AssociationAnswer::probe(&self.bits, positions, o1, o2)));
             }
-            for (j, &(o1, o2)) in offsets.iter().enumerate().take(chunk.len()) {
-                let (mut c0, mut c1, mut c2) = (true, true, true);
-                for &pos in &positions[j * k..(j + 1) * k] {
-                    let win = self.bits.read_window(pos, o2 + 1);
-                    c0 &= win & 1 == 1;
-                    c1 &= (win >> o1) & 1 == 1;
-                    c2 &= (win >> o2) & 1 == 1;
-                    if !(c0 || c1 || c2) {
-                        break;
-                    }
-                }
-                out.push(f(AssociationAnswer::from_flags(c0, c1, c2)));
-            }
-        }
+        };
+        crate::pipeline(items, &self.family, self.m, self.k, offsets, probe);
     }
 
     /// Number of set bits in the on-chip mirror.

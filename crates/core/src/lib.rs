@@ -57,11 +57,69 @@ pub use multiset::CShbfMs;
 pub use scm::ScmSketch;
 pub use traits::{CountEstimator, MembershipFilter};
 
-/// Chunk size of the two-stage batch pipelines (`contains_batch` & co.):
-/// stage 1 hashes a chunk of keys and prefetches their target words, stage 2
-/// probes. 32 keys × `k/2` pairs keeps the staged index block comfortably in
-/// L1 while giving the prefetcher a few hundred cycles of lead time.
+/// Chunk size of the two-stage batch pipeline behind every `*_batch*`
+/// entry point: stage 1 hashes a chunk of keys and prefetches their target
+/// words, stage 2 probes. 32 keys × `k/2` pairs keeps the staged index
+/// block comfortably in L1 while giving the prefetcher a few hundred cycles
+/// of lead time.
 pub const BATCH_CHUNK: usize = 32;
+
+/// Positions one chunk stages on the stack: [`BATCH_CHUNK`] keys of up to
+/// 8 positions each, which covers every default geometry. Keys with more
+/// positions shrink the chunk, so the stage never outgrows this.
+const STAGE: usize = BATCH_CHUNK * 8;
+
+/// One step of [`pipeline`], handed to the caller's closure.
+pub(crate) enum Step<'a, X> {
+    /// Stage 1: one staged position, to warm the word(s) stage 2 reads.
+    Prefetch(usize),
+    /// Stage 2: one key's positions and its per-kind extra, in input order.
+    Visit(&'a [usize], X),
+}
+
+/// The batched form of the framework's one mechanism (hash a key to
+/// positions, then read a window at a key-derived offset), shared by every
+/// batch entry point.
+///
+/// Per chunk, stage 1 prepares each key once, stages its `k ≥ 1` positions
+/// `range_reduce(key.index(i), m)` plus `extra(&key)` (an offset, an offset
+/// pair, or nothing) and hands every position to `step` as
+/// [`Step::Prefetch`]. Stage 2 then hands each key's positions and extra to
+/// `step` as [`Step::Visit`], so the probes' cache misses overlap instead
+/// of queueing behind each other. Staging lives on the stack; only a single
+/// key with more than 256 positions spills it to the heap.
+pub(crate) fn pipeline<T: AsRef<[u8]>, X: Copy + Default>(
+    items: &[T],
+    family: &shbf_hash::QueryFamily,
+    m: usize,
+    k: usize,
+    extra: impl Fn(&shbf_hash::PreparedKey<'_>) -> X,
+    mut step: impl FnMut(Step<'_, X>),
+) {
+    let mut inline = [0usize; STAGE];
+    let mut spill = Vec::new();
+    let staged: &mut [usize] = if k <= STAGE {
+        &mut inline
+    } else {
+        spill.resize(k, 0);
+        &mut spill
+    };
+    let mut extras = [X::default(); BATCH_CHUNK];
+    for chunk in items.chunks(BATCH_CHUNK.min(STAGE / k).max(1)) {
+        let keys = chunk.iter().zip(staged.chunks_exact_mut(k));
+        for ((item, positions), x) in keys.zip(&mut extras) {
+            let key = family.prepare(item.as_ref());
+            *x = extra(&key);
+            for (i, slot) in positions.iter_mut().enumerate() {
+                *slot = shbf_hash::range_reduce(key.index(i), m);
+                step(Step::Prefetch(*slot));
+            }
+        }
+        for (positions, &x) in staged.chunks_exact(k).zip(&extras).take(chunk.len()) {
+            step(Step::Visit(positions, x));
+        }
+    }
+}
 
 /// Serialization kind tags for the [`shbf_bits::codec`] format.
 pub mod kind {

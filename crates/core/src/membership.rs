@@ -17,7 +17,7 @@ use shbf_hash::{FamilyKind, HashAlg, PreparedKey, QueryFamily};
 
 use crate::error::ShbfError;
 use crate::traits::MembershipFilter;
-use crate::BATCH_CHUNK;
+use crate::Step;
 
 /// Shifting Bloom Filter for membership queries.
 #[derive(Debug, Clone)]
@@ -33,6 +33,13 @@ pub struct ShbfM {
     family: QueryFamily,
     master_seed: u64,
     items: u64,
+}
+
+/// The pair offset `o(e) = h_{k/2+1}(e) % (w̄ − 1) + 1` of a key whose
+/// `k/2` position hashes come first (§3.1), shared with [`crate::CShbfM`].
+#[inline]
+pub(crate) fn pair_offset(key: &PreparedKey<'_>, pairs: usize, w_bar: usize) -> usize {
+    shbf_hash::range_reduce(key.index(pairs), w_bar - 1) + 1
 }
 
 impl ShbfM {
@@ -184,37 +191,30 @@ impl ShbfM {
     }
 
     /// Inserts every element of a batch through the two-stage pipeline:
-    /// per [`BATCH_CHUNK`]-sized chunk, stage 1 hashes every key once and
-    /// prefetches the target words, stage 2 sets the bit pairs.
+    /// per [`crate::BATCH_CHUNK`]-sized chunk, stage 1 hashes every key once
+    /// and prefetches the target words, stage 2 sets the bit pairs.
     pub fn insert_batch<T: AsRef<[u8]>>(&mut self, items: &[T]) {
-        let pairs = self.pairs();
-        let mut positions = vec![0usize; BATCH_CHUNK * pairs];
-        let mut offsets = [0usize; BATCH_CHUNK];
-        for chunk in items.chunks(BATCH_CHUNK) {
-            for (j, item) in chunk.iter().enumerate() {
-                let key = self.family.prepare(item.as_ref());
-                offsets[j] = self.offset_of(&key);
-                for (i, slot) in positions[j * pairs..(j + 1) * pairs].iter_mut().enumerate() {
-                    let pos = shbf_hash::range_reduce(key.index(i), self.m);
-                    *slot = pos;
-                    self.bits.prefetch(pos);
+        let (pairs, w_bar) = (self.pairs(), self.w_bar);
+        let bits = &mut self.bits;
+        let offset = |key: &PreparedKey<'_>| pair_offset(key, pairs, w_bar);
+        let update = |step: Step<'_, usize>| match step {
+            Step::Prefetch(pos) => bits.prefetch(pos),
+            Step::Visit(positions, o) => {
+                for &pos in positions {
+                    bits.set(pos);
+                    bits.set(pos + o);
                 }
             }
-            for (j, &o) in offsets.iter().enumerate().take(chunk.len()) {
-                for &pos in &positions[j * pairs..(j + 1) * pairs] {
-                    self.bits.set(pos);
-                    self.bits.set(pos + o);
-                }
-            }
-            self.items += chunk.len() as u64;
-        }
+        };
+        crate::pipeline(items, &self.family, self.m, pairs, offset, update);
+        self.items += items.len() as u64;
     }
 
     /// Queries a batch, returning one verdict per element in order.
     ///
-    /// Pipelined in [`BATCH_CHUNK`]-sized chunks: stage 1 computes every
-    /// key's digest, positions, and offset and issues a cache prefetch per
-    /// target word; stage 2 probes. On filters larger than L2 this overlaps
+    /// Pipelined in [`crate::BATCH_CHUNK`]-sized chunks: stage 1 computes
+    /// every key's digest, positions, and offset and issues a cache prefetch
+    /// per target word; stage 2 probes. On filters larger than L2 this overlaps
     /// the memory latency that a scalar query loop pays serially.
     pub fn contains_batch<T: AsRef<[u8]>>(&self, items: &[T]) -> Vec<bool> {
         let mut out = Vec::with_capacity(items.len());
@@ -223,39 +223,25 @@ impl ShbfM {
     }
 
     /// [`Self::contains_batch`] writing into a caller-owned buffer
-    /// (cleared first), sparing the reply-buffer allocation per batch (the
-    /// pipeline's small fixed stage buffers are still allocated per call).
+    /// (cleared first), sparing the reply-buffer allocation per batch.
     pub fn contains_batch_into<T: AsRef<[u8]>>(&self, items: &[T], out: &mut Vec<bool>) {
         out.clear();
         out.reserve(items.len());
-        let pairs = self.pairs();
-        let mut positions = vec![0usize; BATCH_CHUNK * pairs];
-        let mut offsets = [0usize; BATCH_CHUNK];
-        for chunk in items.chunks(BATCH_CHUNK) {
-            for (j, item) in chunk.iter().enumerate() {
-                let key = self.family.prepare(item.as_ref());
-                offsets[j] = self.offset_of(&key);
-                for (i, slot) in positions[j * pairs..(j + 1) * pairs].iter_mut().enumerate() {
-                    let pos = shbf_hash::range_reduce(key.index(i), self.m);
-                    *slot = pos;
-                    self.bits.prefetch(pos);
-                }
+        let offset = |key: &PreparedKey<'_>| self.offset_of(key);
+        let update = |step: Step<'_, usize>| match step {
+            Step::Prefetch(pos) => self.bits.prefetch(pos),
+            Step::Visit(positions, o) => {
+                out.push(positions.iter().all(|&pos| self.bits.pair_all_set(pos, o)));
             }
-            for (j, &o) in offsets.iter().enumerate().take(chunk.len()) {
-                out.push(
-                    positions[j * pairs..(j + 1) * pairs]
-                        .iter()
-                        .all(|&pos| self.bits.pair_all_set(pos, o)),
-                );
-            }
-        }
+        };
+        crate::pipeline(items, &self.family, self.m, self.pairs(), offset, update);
     }
 
     /// The offset `o(e) ∈ [1, w̄ − 1]` (§3.1: `o(e) ≠ 0`, otherwise the two
     /// bits of a pair would coincide).
     #[inline]
     fn offset_of(&self, key: &PreparedKey<'_>) -> usize {
-        shbf_hash::range_reduce(key.index(self.pairs()), self.w_bar - 1) + 1
+        pair_offset(key, self.pairs(), self.w_bar)
     }
 
     #[cfg(test)]

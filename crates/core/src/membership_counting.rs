@@ -18,8 +18,9 @@ use shbf_bits::{AccessStats, BitArray, CounterArray};
 use shbf_hash::{FamilyKind, HashAlg, PreparedKey, QueryFamily};
 
 use crate::error::ShbfError;
+use crate::membership::pair_offset;
 use crate::traits::MembershipFilter;
-use crate::BATCH_CHUNK;
+use crate::Step;
 
 /// Counting Shifting Bloom Filter for membership with updates.
 ///
@@ -171,7 +172,7 @@ impl CShbfM {
 
     #[inline]
     fn offset_of(&self, key: &PreparedKey<'_>) -> usize {
-        shbf_hash::range_reduce(key.index(self.pairs()), self.w_bar - 1) + 1
+        pair_offset(key, self.pairs(), self.w_bar)
     }
 
     /// Inserts an element: increments both counters of every pair and sets
@@ -190,33 +191,28 @@ impl CShbfM {
     }
 
     /// Inserts every element of a batch through the two-stage pipeline:
-    /// stage 1 hashes a [`BATCH_CHUNK`]-sized chunk and prefetches the
-    /// counter and mirror words, stage 2 applies the updates.
+    /// stage 1 hashes a [`crate::BATCH_CHUNK`]-sized chunk and prefetches
+    /// the counter and mirror words, stage 2 applies the updates.
     pub fn insert_batch<T: AsRef<[u8]>>(&mut self, items: &[T]) {
-        let pairs = self.pairs();
-        let mut positions = vec![0usize; BATCH_CHUNK * pairs];
-        let mut offsets = [0usize; BATCH_CHUNK];
-        for chunk in items.chunks(BATCH_CHUNK) {
-            for (j, item) in chunk.iter().enumerate() {
-                let key = self.family.prepare(item.as_ref());
-                offsets[j] = self.offset_of(&key);
-                for (i, slot) in positions[j * pairs..(j + 1) * pairs].iter_mut().enumerate() {
-                    let pos = shbf_hash::range_reduce(key.index(i), self.m);
-                    *slot = pos;
-                    self.counters.prefetch(pos);
-                    self.bits.prefetch(pos);
+        let (pairs, w_bar) = (self.pairs(), self.w_bar);
+        let (counters, bits) = (&mut self.counters, &mut self.bits);
+        let offset = |key: &PreparedKey<'_>| pair_offset(key, pairs, w_bar);
+        let update = |step: Step<'_, usize>| match step {
+            Step::Prefetch(pos) => {
+                counters.prefetch(pos);
+                bits.prefetch(pos);
+            }
+            Step::Visit(positions, o) => {
+                for &pos in positions {
+                    counters.inc(pos);
+                    counters.inc(pos + o);
+                    bits.set(pos);
+                    bits.set(pos + o);
                 }
             }
-            for (j, &o) in offsets.iter().enumerate().take(chunk.len()) {
-                for &pos in &positions[j * pairs..(j + 1) * pairs] {
-                    self.counters.inc(pos);
-                    self.counters.inc(pos + o);
-                    self.bits.set(pos);
-                    self.bits.set(pos + o);
-                }
-            }
-            self.items += chunk.len() as u64;
-        }
+        };
+        crate::pipeline(items, &self.family, self.m, pairs, offset, update);
+        self.items += items.len() as u64;
     }
 
     /// [`Self::insert`] with update-cost accounting: one counter-word write
@@ -286,32 +282,18 @@ impl CShbfM {
     }
 
     /// [`Self::contains_batch`] writing into a caller-owned buffer
-    /// (cleared first), sparing the reply-buffer allocation per batch (the
-    /// pipeline's small fixed stage buffers are still allocated per call).
+    /// (cleared first), sparing the reply-buffer allocation per batch.
     pub fn contains_batch_into<T: AsRef<[u8]>>(&self, items: &[T], out: &mut Vec<bool>) {
         out.clear();
         out.reserve(items.len());
-        let pairs = self.pairs();
-        let mut positions = vec![0usize; BATCH_CHUNK * pairs];
-        let mut offsets = [0usize; BATCH_CHUNK];
-        for chunk in items.chunks(BATCH_CHUNK) {
-            for (j, item) in chunk.iter().enumerate() {
-                let key = self.family.prepare(item.as_ref());
-                offsets[j] = self.offset_of(&key);
-                for (i, slot) in positions[j * pairs..(j + 1) * pairs].iter_mut().enumerate() {
-                    let pos = shbf_hash::range_reduce(key.index(i), self.m);
-                    *slot = pos;
-                    self.bits.prefetch(pos);
-                }
+        let offset = |key: &PreparedKey<'_>| self.offset_of(key);
+        let update = |step: Step<'_, usize>| match step {
+            Step::Prefetch(pos) => self.bits.prefetch(pos),
+            Step::Visit(positions, o) => {
+                out.push(positions.iter().all(|&pos| self.bits.pair_all_set(pos, o)));
             }
-            for (j, &o) in offsets.iter().enumerate().take(chunk.len()) {
-                out.push(
-                    positions[j * pairs..(j + 1) * pairs]
-                        .iter()
-                        .all(|&pos| self.bits.pair_all_set(pos, o)),
-                );
-            }
-        }
+        };
+        crate::pipeline(items, &self.family, self.m, self.pairs(), offset, update);
     }
 
     /// [`Self::contains`] with accounting.

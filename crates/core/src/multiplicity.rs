@@ -18,7 +18,7 @@ use shbf_hash::{FamilyKind, HashAlg, QueryFamily};
 
 use crate::error::ShbfError;
 use crate::traits::CountEstimator;
-use crate::BATCH_CHUNK;
+use crate::Step;
 
 /// Result of a multiplicity query.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -204,8 +204,7 @@ impl ShbfX {
     }
 
     /// [`Self::query_batch`] writing into a caller-owned buffer (cleared
-    /// first), sparing the reply-buffer allocation per batch (the pipeline's
-    /// small fixed stage buffers are still allocated per call).
+    /// first), sparing the reply-buffer allocation per batch.
     pub fn query_batch_into<T: AsRef<[u8]>>(&self, items: &[T], out: &mut Vec<u64>) {
         self.query_batch_map(items, out, |r| r);
     }
@@ -227,25 +226,17 @@ impl ShbfX {
     ) {
         out.clear();
         out.reserve(items.len());
-        let k = self.k;
         let window_words = self.c.div_ceil(64);
-        let mut positions = vec![0usize; BATCH_CHUNK * k];
         let mut acc = Vec::with_capacity(window_words);
-        for chunk in items.chunks(BATCH_CHUNK) {
-            for (j, item) in chunk.iter().enumerate() {
-                let key = self.family.prepare(item.as_ref());
-                for (i, slot) in positions[j * k..(j + 1) * k].iter_mut().enumerate() {
-                    let pos = shbf_hash::range_reduce(key.index(i), self.m);
-                    *slot = pos;
-                    for w in 0..window_words {
-                        self.bits.prefetch(pos + w * 64);
-                    }
+        let probe = |step: Step<'_, ()>| match step {
+            Step::Prefetch(pos) => {
+                for w in 0..window_words {
+                    self.bits.prefetch(pos + w * 64);
                 }
             }
-            for j in 0..chunk.len() {
-                out.push(f(self.reported_at(&positions[j * k..(j + 1) * k], &mut acc)));
-            }
-        }
+            Step::Visit(positions, ()) => out.push(f(self.reported_at(positions, &mut acc))),
+        };
+        crate::pipeline(items, &self.family, self.m, self.k, |_| (), probe);
     }
 
     /// The reported multiplicity for pre-computed hash positions: AND the k

@@ -23,7 +23,7 @@ use shbf_hash::{FamilyKind, HashAlg, QueryFamily};
 use crate::error::ShbfError;
 use crate::multiplicity::MultiplicityAnswer;
 use crate::traits::CountEstimator;
-use crate::BATCH_CHUNK;
+use crate::Step;
 
 /// How [`CShbfX`] determines an element's current multiplicity on update.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -139,16 +139,6 @@ impl CShbfX {
         match self.policy {
             UpdatePolicy::ExactTable => Some(self.table.get(item).copied().unwrap_or(0)),
             UpdatePolicy::FilterDerived => None,
-        }
-    }
-
-    /// All `k` positions of one key, hashed once (digest-once families pay
-    /// a single base-hash pass here).
-    #[inline]
-    fn positions_into(&self, item: &[u8], out: &mut [usize]) {
-        let key = self.family.prepare(item);
-        for (i, slot) in out.iter_mut().enumerate().take(self.k) {
-            *slot = shbf_hash::range_reduce(key.index(i), self.m);
         }
     }
 
@@ -275,28 +265,21 @@ impl CShbfX {
     }
 
     /// [`Self::contains_batch`] writing into a caller-owned buffer (cleared
-    /// first), sparing the reply-buffer allocation per batch (the pipeline's
-    /// small fixed stage buffers are still allocated per call).
+    /// first), sparing the reply-buffer allocation per batch.
     pub fn contains_batch_into<T: AsRef<[u8]>>(&self, items: &[T], out: &mut Vec<bool>) {
         out.clear();
         out.reserve(items.len());
-        let k = self.k;
         let window_words = self.c.div_ceil(64);
-        let mut positions = vec![0usize; BATCH_CHUNK * k];
         let mut acc = vec![0u64; window_words];
-        for chunk in items.chunks(BATCH_CHUNK) {
-            for (j, item) in chunk.iter().enumerate() {
-                self.positions_into(item.as_ref(), &mut positions[j * k..(j + 1) * k]);
-                for &pos in &positions[j * k..(j + 1) * k] {
-                    for w in 0..window_words {
-                        self.bits.prefetch(pos + w * 64);
-                    }
+        let probe = |step: Step<'_, ()>| match step {
+            Step::Prefetch(pos) => {
+                for w in 0..window_words {
+                    self.bits.prefetch(pos + w * 64);
                 }
             }
-            for j in 0..chunk.len() {
-                out.push(self.any_candidate_at(&positions[j * k..(j + 1) * k], &mut acc));
-            }
-        }
+            Step::Visit(positions, ()) => out.push(self.any_candidate_at(positions, &mut acc)),
+        };
+        crate::pipeline(items, &self.family, self.m, self.k, |_| (), probe);
     }
 
     /// True iff ANDing the k windows at the given positions leaves any

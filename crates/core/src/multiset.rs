@@ -23,7 +23,7 @@ use shbf_hash::fnv::FnvHashMap;
 use shbf_hash::{FamilyKind, HashAlg, QueryFamily};
 
 use crate::error::ShbfError;
-use crate::BATCH_CHUNK;
+use crate::Step;
 
 /// Serialization kind tag (core tags 1–8 are claimed in-crate, the
 /// sharded wrapper takes 9; the multi-set filter claims 10).
@@ -174,13 +174,19 @@ impl CShbfMs {
     /// per-set false positives at the usual Bloom rate).
     pub fn query(&self, item: &[u8]) -> u64 {
         let key = self.family.prepare(item);
+        self.mask_at((0..self.k).map(|i| shbf_hash::range_reduce(key.index(i), self.m)))
+    }
+
+    /// ANDs the `sets`-bit windows at `positions`, stopping at the first
+    /// empty AND. Positions are pulled lazily, so a scalar query hashes
+    /// only the positions it probes.
+    fn mask_at(&self, positions: impl IntoIterator<Item = usize>) -> u64 {
         let mut mask = if self.sets == 64 {
             u64::MAX
         } else {
             (1u64 << self.sets) - 1
         };
-        for i in 0..self.k {
-            let pos = shbf_hash::range_reduce(key.index(i), self.m);
+        for pos in positions {
             mask &= self.bits.read_window(pos, self.sets);
             if mask == 0 {
                 break;
@@ -201,44 +207,30 @@ impl CShbfMs {
     /// first): stage 1 hashes a chunk and prefetches every probe word,
     /// stage 2 ANDs the windows, so probe cache misses overlap.
     pub fn query_batch_into<T: AsRef<[u8]>>(&self, items: &[T], out: &mut Vec<u64>) {
-        out.clear();
-        out.reserve(items.len());
-        let k = self.k;
-        let full = if self.sets == 64 {
-            u64::MAX
-        } else {
-            (1u64 << self.sets) - 1
-        };
-        let mut positions = vec![0usize; BATCH_CHUNK * k];
-        for chunk in items.chunks(BATCH_CHUNK) {
-            for (j, item) in chunk.iter().enumerate() {
-                let key = self.family.prepare(item.as_ref());
-                for (i, slot) in positions[j * k..(j + 1) * k].iter_mut().enumerate() {
-                    let pos = shbf_hash::range_reduce(key.index(i), self.m);
-                    *slot = pos;
-                    self.bits.prefetch(pos);
-                }
-            }
-            for j in 0..chunk.len() {
-                let mut mask = full;
-                for &pos in &positions[j * k..(j + 1) * k] {
-                    mask &= self.bits.read_window(pos, self.sets);
-                    if mask == 0 {
-                        break;
-                    }
-                }
-                out.push(mask);
-            }
-        }
+        self.query_batch_map(items, out, |mask| mask);
     }
 
     /// Batched membership view: true iff the item is possibly in *any*
     /// set — the server's `MQUERY` path for multiset namespaces.
     pub fn contains_batch_into<T: AsRef<[u8]>>(&self, items: &[T], out: &mut Vec<bool>) {
-        let mut masks = Vec::new();
-        self.query_batch_into(items, &mut masks);
+        self.query_batch_map(items, out, |mask| mask != 0);
+    }
+
+    /// The batch pipeline, mapping each mask through `f` as it is produced
+    /// (no intermediate mask vector for the boolean view).
+    fn query_batch_map<T: AsRef<[u8]>, R>(
+        &self,
+        items: &[T],
+        out: &mut Vec<R>,
+        f: impl Fn(u64) -> R,
+    ) {
         out.clear();
-        out.extend(masks.iter().map(|&m| m != 0));
+        out.reserve(items.len());
+        let probe = |step: Step<'_, ()>| match step {
+            Step::Prefetch(pos) => self.bits.prefetch(pos),
+            Step::Visit(positions, ()) => out.push(f(self.mask_at(positions.iter().copied()))),
+        };
+        crate::pipeline(items, &self.family, self.m, self.k, |_| (), probe);
     }
 
     /// Number of set bits in the on-chip mirror.

@@ -287,18 +287,30 @@ pub(crate) fn run<H: Handler>(
 
 impl<H: Handler> Reactor<'_, H> {
     fn accept_ready(&mut self, queue: &mut Vec<u64>) {
+        let shedding = self.config.shed_reply.is_some();
         loop {
-            // The place under the cap is reserved before the accept, so
-            // no connection is dequeued that the cap cannot hold (a
-            // sibling loop may take the last place at any moment); an
-            // unused reservation is released when it drops.
-            let reservation = self.config.connections.try_reserve();
-            if reservation.is_none() && self.config.shed_reply.is_none() {
-                // Leave `accept_pending` set: the backlog keeps the
-                // overflow, and a freed slot re-enters here without
-                // needing a fresh kernel edge.
-                return;
-            }
+            // Without shedding, the place under the cap is reserved before
+            // the accept, so no connection is dequeued that the cap cannot
+            // hold (a sibling loop may take the last place at any moment);
+            // an unused reservation is released when it drops. With
+            // shedding, the place is reserved after the accept, so only
+            // sockets actually held count against the cap: a sibling's
+            // reservation for a backlog it then finds empty must not make
+            // this loop shed below the cap.
+            let reserved = if shedding {
+                None
+            } else {
+                let Some(reservation) = self.config.connections.try_reserve() else {
+                    // Leave `accept_pending` set: the backlog keeps the
+                    // overflow, and a freed slot re-enters here without
+                    // needing a fresh kernel edge.
+                    return;
+                };
+                Some(reservation)
+            };
+            // Failpoint `transport::pre_accept`: a `delay` stalls this loop
+            // just before its accept (the only action with an effect here).
+            let _ = shbf_failpoint::fail("transport::pre_accept");
             let stream = match self.listener.accept() {
                 Ok(stream) => stream,
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
@@ -329,7 +341,8 @@ impl<H: Handler> Reactor<'_, H> {
                 continue;
             }
             stream.set_nodelay(true).ok();
-            let Some(reservation) = reservation else {
+            let Some(reservation) = reserved.or_else(|| self.config.connections.try_reserve())
+            else {
                 // Overload shedding: tell the peer we are busy (best
                 // effort — the socket is fresh, so the tiny reply almost
                 // always fits the send buffer) and hang up. The client

@@ -623,89 +623,69 @@ impl Engine {
 
     /// `STATS replication` — role, progress, and lag for either side.
     fn replication_stats(&self) -> Response {
-        let mut fields: Vec<(String, String)> = Vec::new();
+        let mut fields = Fields::default();
         if self.replication.is_replica() {
-            fields.push(("role".into(), "replica".into()));
+            fields.push("role", "replica");
             if let Some(primary) = self.replication.primary() {
-                fields.push(("primary".into(), primary));
+                fields.push("primary", primary);
             }
             let (applied, primary_last) = self.replication.replica_progress();
-            fields.push(("applied_seq".into(), applied.to_string()));
-            fields.push(("primary_last_seq".into(), primary_last.to_string()));
-            fields.push((
-                "lag".into(),
-                primary_last.saturating_sub(applied).to_string(),
-            ));
+            fields.push("applied_seq", applied);
+            fields.push("primary_last_seq", primary_last);
+            fields.push("lag", primary_last.saturating_sub(applied));
         } else {
-            fields.push(("role".into(), "primary".into()));
+            fields.push("role", "primary");
             let last_seq = match self.durability.get() {
                 Some(durability) => {
                     let durability = durability.lock();
-                    fields.push(("wal".into(), "enabled".into()));
-                    fields.push(("fsync".into(), durability.fsync.name().into()));
-                    fields.push(("last_seq".into(), durability.last_seq().to_string()));
-                    fields.push(("oldest_seq".into(), durability.oldest_seq().to_string()));
+                    fields.push("wal", "enabled");
+                    fields.push("fsync", durability.fsync.name());
+                    fields.push("last_seq", durability.last_seq());
+                    fields.push("oldest_seq", durability.oldest_seq());
                     durability.last_seq()
                 }
                 None => {
-                    fields.push(("wal".into(), "disabled".into()));
+                    fields.push("wal", "disabled");
                     0
                 }
             };
             let (count, min_acked) = self.replication.replica_summary();
-            fields.push(("replicas".into(), count.to_string()));
+            fields.push("replicas", count);
             let lag = min_acked.map_or(0, |acked| last_seq.saturating_sub(acked));
-            fields.push(("lag".into(), lag.to_string()));
+            fields.push("lag", lag);
         }
-        Response::Array(
-            fields
-                .into_iter()
-                .map(|(k, v)| Response::Simple(format!("{k}={v}")))
-                .collect(),
-        )
+        fields.into()
     }
 
     /// `STATS server` — process-level facts, shaped like a namespace
     /// `STATS` reply (`+field=value` lines).
     fn server_stats(&self) -> Response {
         let m = &self.metrics;
-        let mut fields: Vec<(String, String)> = vec![
-            ("version".into(), env!("CARGO_PKG_VERSION").into()),
-            ("pid".into(), std::process::id().to_string()),
-            ("uptime_secs".into(), m.uptime_secs().to_string()),
-            ("start_unix".into(), m.start_unix().to_string()),
-            ("commands_total".into(), m.commands_total().to_string()),
-        ];
+        let mut fields = Fields::default();
+        fields.push("version", env!("CARGO_PKG_VERSION"));
+        fields.push("pid", std::process::id());
+        fields.push("uptime_secs", m.uptime_secs());
+        fields.push("start_unix", m.start_unix());
+        fields.push("commands_total", m.commands_total());
         for kind in CommandKind::ALL {
-            fields.push((
-                format!("cmd_{}", kind.label()),
-                m.command_count(kind).to_string(),
-            ));
+            fields.push(&format!("cmd_{}", kind.label()), m.command_count(kind));
         }
-        fields.push(("slowlog_len".into(), m.slowlog_len().to_string()));
-        fields.push((
-            "slowlog_threshold_us".into(),
-            m.slowlog_threshold_us().to_string(),
-        ));
-        fields.push(("snapshots".into(), m.snapshots.get().to_string()));
-        fields.push(("namespaces".into(), self.registry.list().len().to_string()));
+        fields.push("slowlog_len", m.slowlog_len());
+        fields.push("slowlog_threshold_us", m.slowlog_threshold_us());
+        fields.push("snapshots", m.snapshots.get());
+        fields.push("namespaces", self.registry.list().len());
         let (which_queries, which_probes) = self.which.probe_stats();
-        fields.push(("which_queries".into(), which_queries.to_string()));
-        fields.push(("which_probes".into(), which_probes.to_string()));
-        fields.push(("which_leaves".into(), self.which.leaves().to_string()));
-        fields.push(("read_only".into(), (self.is_read_only() as u8).to_string()));
-        fields.push(("wal_io_errors".into(), m.wal_io_errors.get().to_string()));
-        fields.push((
-            "trace_sample".into(),
+        fields.push("which_queries", which_queries);
+        fields.push("which_probes", which_probes);
+        fields.push("which_leaves", self.which.leaves());
+        fields.push("read_only", self.is_read_only() as u8);
+        fields.push("wal_io_errors", m.wal_io_errors.get());
+        fields.push(
+            "trace_sample",
             shbf_trace::sample_string(shbf_trace::sampling()),
-        ));
-        fields.push(("trace_len".into(), self.trace().len().to_string()));
-        Response::Array(
-            fields
-                .into_iter()
-                .map(|(k, v)| Response::Simple(format!("{k}={v}")))
-                .collect(),
-        )
+        );
+        fields.push("trace_len", self.trace().len());
+        fields.into()
     }
 
     /// Inner evaluation: the per-verb dispatch, free of durability and
@@ -897,8 +877,7 @@ impl Engine {
             .filter(|name| {
                 self.registry
                     .get(name)
-                    .map(|n| backend_contains(&n, key))
-                    .unwrap_or(false)
+                    .is_ok_and(|n| n.backend.contains(key, None))
             })
             .collect();
         names.sort_unstable();
@@ -926,27 +905,17 @@ impl Engine {
             let Ok(n) = self.registry.get(&name) else {
                 continue;
             };
-            match &n.backend {
-                Backend::Membership(f) => {
-                    let grouped: Vec<&Vec<u8>> = indices.iter().map(|&i| &keys[i]).collect();
-                    let mut verdicts = std::mem::take(&mut scratch.verdicts);
-                    f.contains_batch_with(&grouped, &mut verdicts, &mut scratch.shard);
-                    for (&i, &hit) in indices.iter().zip(&verdicts) {
-                        if hit {
-                            per_key[i].push(name.clone());
-                        }
-                    }
-                    verdicts.clear();
-                    scratch.verdicts = verdicts;
-                }
-                _ => {
-                    for &i in &indices {
-                        if backend_contains(&n, &keys[i]) {
-                            per_key[i].push(name.clone());
-                        }
-                    }
+            let grouped: Vec<&Vec<u8>> = indices.iter().map(|&i| &keys[i]).collect();
+            let mut verdicts = std::mem::take(&mut scratch.verdicts);
+            n.backend
+                .contains_batch_into(&grouped, &mut verdicts, &mut scratch.shard, None);
+            for (&i, &hit) in indices.iter().zip(&verdicts) {
+                if hit {
+                    per_key[i].push(name.clone());
                 }
             }
+            verdicts.clear();
+            scratch.verdicts = verdicts;
         }
         Response::Array(
             per_key
@@ -1019,108 +988,59 @@ fn note_absent(n: &Namespace, key: &[u8], which: &WhichTree) {
 }
 
 fn insert(n: &Namespace, key: &[u8], set: WireSet, which: &WhichTree) -> Response {
-    match &n.backend {
-        Backend::Membership(f) => {
-            f.insert(key);
-            n.stats
-                .inserts
-                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            note_present(n, key, which);
-            Response::ok()
-        }
-        Backend::MultiSet(_) => Response::Error(format!(
+    let Some(outcome) = n.backend.insert(key, wire_set(set)) else {
+        return Response::Error(format!(
             "`{}` is a multiset namespace; use MSINSERT ns key set-id",
             n.name
-        )),
-        Backend::Multiplicity(f) => match f.write().insert(key) {
-            Ok(new_count) => {
-                n.stats
-                    .inserts
-                    .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                note_present(n, key, which);
-                Response::Int(new_count as i64)
-            }
-            Err(e) => Response::Error(e.to_string()),
-        },
-        Backend::Association(f) => {
-            f.write().insert(key, wire_set(set));
+        ));
+    };
+    match outcome {
+        Ok(count) => {
             n.stats
                 .inserts
                 .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
             note_present(n, key, which);
-            Response::ok()
+            count.map_or_else(Response::ok, |c| Response::Int(c as i64))
         }
+        Err(e) => Response::Error(e.to_string()),
     }
 }
 
 fn delete(n: &Namespace, key: &[u8], set: WireSet, which: &WhichTree) -> Response {
-    let outcome = match &n.backend {
-        Backend::Membership(f) => f.delete(key).map(|_| Response::ok()),
-        Backend::Multiplicity(f) => f.write().delete(key).map(|c| Response::Int(c as i64)),
-        Backend::Association(f) => f.write().remove(key, wire_set(set)).map(|_| Response::ok()),
-        Backend::MultiSet(_) => {
-            return Response::Error(format!(
-                "`{}` is a multiset namespace; use MSDELETE ns key set-id",
-                n.name
-            ))
-        }
+    let Some(outcome) = n.backend.delete(key, wire_set(set)) else {
+        return Response::Error(format!(
+            "`{}` is a multiset namespace; use MSDELETE ns key set-id",
+            n.name
+        ));
     };
     match outcome {
-        Ok(r) => {
+        Ok(count) => {
             n.stats
                 .deletes
                 .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
             note_absent(n, key, which);
-            r
+            count.map_or_else(Response::ok, |c| Response::Int(c as i64))
         }
         Err(e) => Response::Error(e.to_string()),
     }
 }
 
 fn query(n: &Namespace, key: &[u8]) -> Response {
-    let hit = match &n.backend {
-        Backend::Membership(f) => f.contains(key),
-        Backend::Multiplicity(f) => {
-            let guard = f.read();
-            let hit = guard.query(key).reported > 0;
-            // Exact-table namespaces carry their own ground truth, so
-            // filter-vs-table divergence is a *confirmed* false positive
-            // (surfaced as `observed_fpr` in STATS and /metrics).
-            if let Some(truth) = guard.ground_truth(key) {
-                n.stats.record_ground_truth(hit, truth > 0);
-            }
-            hit
-        }
-        Backend::Association(f) => !matches!(
-            f.read().query(key),
-            shbf_core::AssociationAnswer::NotInUnion
-        ),
-        // Membership across the union of the namespace's sets.
-        Backend::MultiSet(f) => f.read().query(key) != 0,
-    };
+    // Exact-table namespaces carry their own ground truth, so a
+    // filter-vs-table divergence is a *confirmed* false positive
+    // (surfaced as `observed_fpr` in STATS and /metrics).
+    let hit = n.backend.contains(key, Some(&n.stats));
     n.stats.record_query(hit);
     Response::bool(hit)
 }
 
 fn mquery(n: &Namespace, keys: &[Vec<u8>], scratch: &mut QueryScratch) -> Response {
-    // All three backends run their prefetched two-stage batch pipeline into
-    // the recycled verdict buffer; one lock acquisition per touched shard
-    // (membership) or per batch (multiplicity/association).
+    // Every backend runs its prefetched two-stage batch pipeline into the
+    // recycled verdict buffer; one lock acquisition per touched shard
+    // (membership) or per batch (the others).
     let mut answers = std::mem::take(&mut scratch.verdicts);
-    match &n.backend {
-        Backend::Membership(f) => f.contains_batch_with(keys, &mut answers, &mut scratch.shard),
-        Backend::Multiplicity(f) => {
-            let guard = f.read();
-            guard.contains_batch_into(keys, &mut answers);
-            for (key, &hit) in keys.iter().zip(&answers) {
-                if let Some(truth) = guard.ground_truth(key) {
-                    n.stats.record_ground_truth(hit, truth > 0);
-                }
-            }
-        }
-        Backend::Association(f) => f.read().contains_batch_into(keys, &mut answers),
-        Backend::MultiSet(f) => f.read().contains_batch_into(keys, &mut answers),
-    }
+    n.backend
+        .contains_batch_into(keys, &mut answers, &mut scratch.shard, Some(&n.stats));
     for &hit in &answers {
         n.stats.record_query(hit);
     }
@@ -1256,154 +1176,68 @@ fn msquery(n: &Namespace, key: &[u8]) -> Response {
     }
 }
 
-/// Membership verdict for any backend kind *without* touching the
-/// namespace's query stats — `WHICH` confirmation probes are not client
-/// queries against that namespace.
-fn backend_contains(n: &Namespace, key: &[u8]) -> bool {
-    match &n.backend {
-        Backend::Membership(f) => f.contains(key),
-        Backend::Multiplicity(f) => f.read().query(key).reported > 0,
-        Backend::Association(f) => !matches!(
-            f.read().query(key),
-            shbf_core::AssociationAnswer::NotInUnion
-        ),
-        Backend::MultiSet(f) => f.read().query(key) != 0,
-    }
-}
-
 /// `STATS transport`: the connection-level counter section, shaped like
 /// a namespace `STATS` reply (`+field=value` lines) so existing clients
 /// parse it unchanged.
 fn transport_stats(metrics: &TransportMetrics) -> Response {
     let s = metrics.snapshot();
-    let fields: [(&str, u64); 9] = [
-        ("accepted", s.accepted),
-        ("closed", s.closed),
-        ("live", s.accepted.saturating_sub(s.closed)),
-        ("bytes_in", s.bytes_in),
-        ("bytes_out", s.bytes_out),
-        ("backpressure_enter", s.backpressure_enter),
-        ("backpressure_exit", s.backpressure_exit),
-        ("write_queue_high_water", s.queue_high_water),
-        ("wakeups", s.wakeups),
-    ];
-    Response::Array(
-        fields
-            .into_iter()
-            .map(|(k, v)| Response::Simple(format!("{k}={v}")))
-            .collect(),
-    )
+    let mut fields = Fields::default();
+    fields.push("accepted", s.accepted);
+    fields.push("closed", s.closed);
+    fields.push("live", s.accepted.saturating_sub(s.closed));
+    fields.push("bytes_in", s.bytes_in);
+    fields.push("bytes_out", s.bytes_out);
+    fields.push("backpressure_enter", s.backpressure_enter);
+    fields.push("backpressure_exit", s.backpressure_exit);
+    fields.push("write_queue_high_water", s.queue_high_water);
+    fields.push("wakeups", s.wakeups);
+    fields.into()
 }
 
 fn stats(n: &Namespace) -> Response {
     let (hits, misses, inserts, deletes) = n.stats.snapshot();
-    let mut fields: Vec<(String, String)> = vec![("kind".into(), n.backend.kind().to_string())];
+    let mut fields = Fields::default();
+    fields.push("kind", n.backend.kind());
+    n.backend.describe(&mut fields);
     // Raw bit-array fill, comparable across kinds.
-    let (ones, physical) = backend_bits(&n.backend);
-    match &n.backend {
-        Backend::Membership(f) => {
-            let (m, k, w_bar) = f.shard_params();
-            let shards = f.shards();
-            let items = f.items();
-            fields.push(("shards".into(), shards.to_string()));
-            fields.push(("m_per_shard".into(), m.to_string()));
-            fields.push(("k".into(), k.to_string()));
-            fields.push(("items".into(), items.to_string()));
-            fields.push((
-                "shard_imbalance".into(),
-                format!("{:.4}", f.shard_imbalance()),
-            ));
-            // Theorem 1 FPR at the current per-shard load.
-            let est = shbf_analysis::shbf::fpr(
-                m as f64,
-                items as f64 / shards as f64,
-                k as f64,
-                w_bar as f64,
-            );
-            fields.push(("est_fpr".into(), format!("{est:.3e}")));
-        }
-        Backend::Multiplicity(f) => {
-            let guard = f.read();
-            fields.push(("c".into(), guard.c().to_string()));
-            fields.push(("items".into(), guard.tracked_elements().to_string()));
-        }
-        Backend::Association(f) => {
-            let guard = f.read();
-            fields.push(("s1".into(), guard.len_s1().to_string()));
-            fields.push(("s2".into(), guard.len_s2().to_string()));
-        }
-        Backend::MultiSet(f) => {
-            let guard = f.read();
-            fields.push(("sets".into(), guard.sets().to_string()));
-            fields.push(("items".into(), guard.keys().to_string()));
-            fields.push(("pairs".into(), guard.pairs().to_string()));
-        }
-    }
-    fields.push(("bits_set".into(), ones.to_string()));
-    fields.push(("physical_bits".into(), physical.to_string()));
+    let (ones, physical) = n.backend.bits();
+    fields.push("bits_set", ones);
+    fields.push("physical_bits", physical);
     if physical > 0 {
-        fields.push((
-            "occupancy".into(),
-            format!("{:.4}", ones as f64 / physical as f64),
-        ));
+        fields.push("occupancy", format!("{:.4}", ones as f64 / physical as f64));
     }
     // Where the backend carries ground truth (shbf-x's exact table),
     // report the *measured* false-positive rate next to the estimate.
     let (fp, negatives) = n.stats.ground_truth_snapshot();
     if negatives > 0 {
-        fields.push((
-            "observed_fpr".into(),
+        fields.push(
+            "observed_fpr",
             format!("{:.3e}", fp as f64 / negatives as f64),
-        ));
+        );
     }
-    fields.push(("hits".into(), hits.to_string()));
-    fields.push(("misses".into(), misses.to_string()));
-    fields.push(("inserts".into(), inserts.to_string()));
-    fields.push(("deletes".into(), deletes.to_string()));
-    Response::Array(
-        fields
-            .into_iter()
-            .map(|(k, v)| Response::Simple(format!("{k}={v}")))
-            .collect(),
-    )
+    fields.push("hits", hits);
+    fields.push("misses", misses);
+    fields.push("inserts", inserts);
+    fields.push("deletes", deletes);
+    fields.into()
 }
 
-/// `(bits set, physical bits)` of a backend's bit array (all kinds).
-pub(crate) fn backend_bits(backend: &Backend) -> (u64, u64) {
-    match backend {
-        Backend::Membership(f) => (f.count_ones(), f.physical_bits()),
-        Backend::Multiplicity(f) => {
-            let guard = f.read();
-            (guard.count_ones() as u64, guard.physical_bits() as u64)
-        }
-        Backend::Association(f) => {
-            let guard = f.read();
-            (guard.count_ones() as u64, guard.physical_bits() as u64)
-        }
-        Backend::MultiSet(f) => {
-            let guard = f.read();
-            (guard.count_ones() as u64, guard.physical_bits() as u64)
-        }
+/// A `STATS` reply under construction: one `+field=value` line per
+/// [`Fields::push`], in push order. Every `STATS` subject shares this
+/// shape, so clients parse them alike.
+#[derive(Default)]
+pub(crate) struct Fields(Vec<Response>);
+
+impl Fields {
+    /// Appends `field=value`.
+    pub(crate) fn push(&mut self, field: &str, value: impl std::fmt::Display) {
+        self.0.push(Response::Simple(format!("{field}={value}")));
     }
 }
 
-/// Theorem-1 estimated FPR for a backend at its current load, where the
-/// paper's formula applies (`shbf-m` membership filters); `None` for the
-/// multiplicity/association structures, whose error model differs.
-pub(crate) fn backend_est_fpr(backend: &Backend) -> Option<f64> {
-    match backend {
-        Backend::Membership(f) => {
-            let (m, k, w_bar) = f.shard_params();
-            let shards = f.shards();
-            let items = f.items();
-            Some(shbf_analysis::shbf::fpr(
-                m as f64,
-                items as f64 / shards as f64,
-                k as f64,
-                w_bar as f64,
-            ))
-        }
-        _ => None,
+impl From<Fields> for Response {
+    fn from(fields: Fields) -> Response {
+        Response::Array(fields.0)
     }
 }
 

@@ -28,7 +28,7 @@ use std::time::Duration;
 
 use shbf_metrics::Exposition;
 
-use crate::engine::{backend_bits, backend_est_fpr, Engine};
+use crate::engine::Engine;
 use crate::metrics::CommandKind;
 
 /// Largest accepted HTTP request head.
@@ -300,14 +300,8 @@ pub(crate) fn render_prometheus(engine: &Engine) -> String {
         .iter()
         .map(|n| {
             let (hits, misses, inserts, deletes) = n.stats.snapshot();
-            let (bits_set, physical_bits) = backend_bits(&n.backend);
+            let (bits_set, physical_bits) = n.backend.bits();
             let (fp, neg) = n.stats.ground_truth_snapshot();
-            let has_ground_truth = match &n.backend {
-                crate::registry::Backend::Multiplicity(f) => {
-                    f.read().policy() == shbf_core::UpdatePolicy::ExactTable
-                }
-                _ => false,
-            };
             NsRow {
                 name: n.name.clone(),
                 hits,
@@ -316,10 +310,10 @@ pub(crate) fn render_prometheus(engine: &Engine) -> String {
                 deletes,
                 bits_set,
                 physical_bits,
-                est_fpr: backend_est_fpr(&n.backend),
+                est_fpr: n.backend.est_fpr(),
                 gt_false_positives: fp,
                 gt_negatives: neg,
-                has_ground_truth,
+                has_ground_truth: n.backend.has_ground_truth(),
             }
         })
         .collect();

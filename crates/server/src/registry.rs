@@ -14,10 +14,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::RwLock;
-use shbf_concurrent::ShardedCShbfM;
-use shbf_core::{CShbfA, CShbfMs, CShbfX, ShbfError, UpdatePolicy};
+use shbf_concurrent::{BatchScratch, ShardedCShbfM};
+use shbf_core::{AssociationAnswer, CShbfA, CShbfMs, CShbfX, SetId, ShbfError, UpdatePolicy};
 use shbf_hash::{FamilyKind, HashAlg};
 
+use crate::engine::Fields;
 use crate::protocol::{FamilySpec, KindSpec};
 use crate::which::Summary;
 
@@ -42,6 +43,12 @@ pub enum Backend {
     MultiSet(RwLock<CShbfMs>),
 }
 
+/// What a kind-generic `INSERT` or `DELETE` did: `Some(count)` is a
+/// `shbf-x` key's new multiplicity, `None` a plain success.
+pub type Update = Result<Option<u64>, ShbfError>;
+
+/// The kind-generic operations every backend serves. The per-key methods
+/// lock once per call (per touched shard for `shbf-m`), never once per key.
 impl Backend {
     /// The kind this backend serves.
     pub fn kind(&self) -> KindSpec {
@@ -50,6 +57,169 @@ impl Backend {
             Backend::Multiplicity(_) => KindSpec::Multiplicity,
             Backend::Association(_) => KindSpec::Association,
             Backend::MultiSet(_) => KindSpec::MultiSet,
+        }
+    }
+
+    /// `INSERT key`, into `set` for `shbf-a`. `None` for a multiset, whose
+    /// keys need a set id (`MSINSERT`).
+    pub fn insert(&self, key: &[u8], set: SetId) -> Option<Update> {
+        Some(match self {
+            Backend::Membership(f) => {
+                f.insert(key);
+                Ok(None)
+            }
+            Backend::Multiplicity(f) => f.write().insert(key).map(Some),
+            Backend::Association(f) => {
+                f.write().insert(key, set);
+                Ok(None)
+            }
+            Backend::MultiSet(_) => return None,
+        })
+    }
+
+    /// `DELETE key`, from `set` for `shbf-a`. `None` for a multiset, whose
+    /// keys need a set id (`MSDELETE`).
+    pub fn delete(&self, key: &[u8], set: SetId) -> Option<Update> {
+        Some(match self {
+            Backend::Membership(f) => f.delete(key).map(|()| None),
+            Backend::Multiplicity(f) => f.write().delete(key).map(Some),
+            Backend::Association(f) => f.write().remove(key, set).map(|()| None),
+            Backend::MultiSet(_) => return None,
+        })
+    }
+
+    /// Membership verdict for any kind: a member, a count above zero, a
+    /// key in `S1 ∪ S2`, or a key in any set. With `truth`, a backend that
+    /// keeps ground truth ([`Self::has_ground_truth`]) also records the
+    /// verdict against it, under the same read lock.
+    pub fn contains(&self, key: &[u8], truth: Option<&NamespaceStats>) -> bool {
+        match self {
+            Backend::Membership(f) => f.contains(key),
+            Backend::Multiplicity(f) => {
+                let guard = f.read();
+                let hit = guard.query(key).reported > 0;
+                record_ground_truth(&guard, truth, [(key, hit)]);
+                hit
+            }
+            Backend::Association(f) => f.read().query(key) != AssociationAnswer::NotInUnion,
+            Backend::MultiSet(f) => f.read().query(key) != 0,
+        }
+    }
+
+    /// [`Self::contains`] for a batch: one verdict per key, in order, into
+    /// `out` (cleared first), through each kind's prefetched batch
+    /// pipeline. `scratch` holds `shbf-m`'s shard grouping.
+    pub fn contains_batch_into<T: AsRef<[u8]>>(
+        &self,
+        keys: &[T],
+        out: &mut Vec<bool>,
+        scratch: &mut BatchScratch,
+        truth: Option<&NamespaceStats>,
+    ) {
+        match self {
+            Backend::Membership(f) => f.contains_batch_with(keys, out, scratch),
+            Backend::Multiplicity(f) => {
+                let guard = f.read();
+                guard.contains_batch_into(keys, out);
+                let verdicts = keys.iter().map(AsRef::as_ref).zip(out.iter().copied());
+                record_ground_truth(&guard, truth, verdicts);
+            }
+            Backend::Association(f) => f.read().contains_batch_into(keys, out),
+            Backend::MultiSet(f) => f.read().contains_batch_into(keys, out),
+        }
+    }
+
+    /// Whether [`Self::contains`] can check verdicts against ground truth:
+    /// a `shbf-x` exact table.
+    pub fn has_ground_truth(&self) -> bool {
+        match self {
+            Backend::Multiplicity(f) => f.read().policy() == UpdatePolicy::ExactTable,
+            _ => false,
+        }
+    }
+
+    /// `(bits set, physical bits)` of the query-side bit array.
+    pub fn bits(&self) -> (u64, u64) {
+        match self {
+            Backend::Membership(f) => (f.count_ones(), f.physical_bits()),
+            Backend::Multiplicity(f) => {
+                let guard = f.read();
+                (guard.count_ones() as u64, guard.physical_bits() as u64)
+            }
+            Backend::Association(f) => {
+                let guard = f.read();
+                (guard.count_ones() as u64, guard.physical_bits() as u64)
+            }
+            Backend::MultiSet(f) => {
+                let guard = f.read();
+                (guard.count_ones() as u64, guard.physical_bits() as u64)
+            }
+        }
+    }
+
+    /// Theorem-1 false-positive rate at the current per-shard load, where
+    /// the paper's formula applies (`shbf-m`); `None` for the other kinds,
+    /// whose error model differs.
+    pub fn est_fpr(&self) -> Option<f64> {
+        match self {
+            Backend::Membership(f) => {
+                let (m, k, w_bar) = f.shard_params();
+                Some(shbf_analysis::shbf::fpr(
+                    m as f64,
+                    f.items() as f64 / f.shards() as f64,
+                    k as f64,
+                    w_bar as f64,
+                ))
+            }
+            _ => None,
+        }
+    }
+
+    /// Appends the kind's own `STATS` fields, [`Self::est_fpr`] last.
+    pub(crate) fn describe(&self, fields: &mut Fields) {
+        match self {
+            Backend::Membership(f) => {
+                let (m, k, _) = f.shard_params();
+                fields.push("shards", f.shards());
+                fields.push("m_per_shard", m);
+                fields.push("k", k);
+                fields.push("items", f.items());
+                fields.push("shard_imbalance", format!("{:.4}", f.shard_imbalance()));
+            }
+            Backend::Multiplicity(f) => {
+                let guard = f.read();
+                fields.push("c", guard.c());
+                fields.push("items", guard.tracked_elements());
+            }
+            Backend::Association(f) => {
+                let guard = f.read();
+                fields.push("s1", guard.len_s1());
+                fields.push("s2", guard.len_s2());
+            }
+            Backend::MultiSet(f) => {
+                let guard = f.read();
+                fields.push("sets", guard.sets());
+                fields.push("items", guard.keys());
+                fields.push("pairs", guard.pairs());
+            }
+        }
+        if let Some(est) = self.est_fpr() {
+            fields.push("est_fpr", format!("{est:.3e}"));
+        }
+    }
+}
+
+/// The ground-truth hook: with `truth`, records each `(key, verdict)`
+/// against an exact table's count (a no-op for a filter-derived table).
+fn record_ground_truth<'a>(
+    filter: &CShbfX,
+    truth: Option<&NamespaceStats>,
+    verdicts: impl IntoIterator<Item = (&'a [u8], bool)>,
+) {
+    let Some(stats) = truth else { return };
+    for (key, hit) in verdicts {
+        if let Some(count) = filter.ground_truth(key) {
+            stats.record_ground_truth(hit, count > 0);
         }
     }
 }

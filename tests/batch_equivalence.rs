@@ -4,6 +4,9 @@
 //!   prefetched two-stage path may reorder hashing and probing, never
 //!   answers);
 //! * `insert_batch` produces bit-identical filters to scalar inserts;
+//! * every batch entry point agrees with its scalar query for batch
+//!   lengths on both sides of [`BATCH_CHUNK`] and for `k` far past the
+//!   usual geometry;
 //! * one-shot-family filters survive `to_bytes`/`from_bytes` with identical
 //!   query behaviour and stay free of false negatives.
 
@@ -11,7 +14,9 @@ use proptest::collection::vec;
 use proptest::prelude::*;
 
 use shbf::concurrent::{BatchScratch, ShardedCShbfM};
-use shbf::core::{CShbfA, CShbfM, CShbfX, SetId, ShbfA, ShbfM, ShbfX};
+use shbf::core::{
+    CShbfA, CShbfM, CShbfMs, CShbfX, SetId, ShbfA, ShbfM, ShbfX, UpdatePolicy, BATCH_CHUNK,
+};
 use shbf::hash::FamilyKind;
 
 fn keys_strategy(max_len: usize) -> impl Strategy<Value = Vec<Vec<u8>>> {
@@ -142,18 +147,51 @@ proptest! {
         probes in keys_strategy(80),
         seed in any::<u64>(),
     ) {
-        let mut x = CShbfX::new(16_384, 6, 40, seed).unwrap();
-        let mut a = CShbfA::new(8192, 8, seed).unwrap();
-        for (i, m) in members.iter().enumerate() {
-            x.insert(m).unwrap();
-            a.insert(m, if i % 2 == 0 { SetId::S1 } else { SetId::S2 });
+        for family in FAMILIES {
+            // c = 40 keeps a window in one word; c = 100 spans two.
+            let mut xs = [40, 100].map(|c| {
+                CShbfX::with_family(16_384, 6, c, UpdatePolicy::ExactTable, 8, family, seed)
+                    .unwrap()
+            });
+            let mut a = CShbfA::with_family(8192, 8, 57, 4, family, seed).unwrap();
+            let mut ms = CShbfMs::with_family(8192, 6, 16, 4, family, seed).unwrap();
+            for (i, m) in members.iter().enumerate() {
+                for x in &mut xs {
+                    x.insert(m).unwrap();
+                }
+                a.insert(m, if i % 2 == 0 { SetId::S1 } else { SetId::S2 });
+                ms.insert(m, i % 16).unwrap();
+            }
+            let all: Vec<&Vec<u8>> = members.iter().chain(probes.iter()).collect();
+            let xbs = xs.each_ref().map(|x| x.contains_batch(&all));
+            let ab = a.query_batch(&all);
+            let msb = ms.query_batch(&all);
+            let mut ms_hits = Vec::new();
+            ms.contains_batch_into(&all, &mut ms_hits);
+            for (i, p) in all.iter().enumerate() {
+                for (x, xb) in xs.iter().zip(&xbs) {
+                    prop_assert_eq!(xb[i], x.query(p).reported > 0, "{:?} c={} probe {}", family, x.c(), i);
+                }
+                prop_assert_eq!(ab[i], a.query(p), "{:?} a probe {}", family, i);
+                prop_assert_eq!(msb[i], ms.query(p), "{:?} ms probe {}", family, i);
+                prop_assert_eq!(ms_hits[i], ms.query(p) != 0, "{:?} ms hit {}", family, i);
+            }
         }
-        let all: Vec<&Vec<u8>> = members.iter().chain(probes.iter()).collect();
-        let xb = x.contains_batch(&all);
-        let ab = a.query_batch(&all);
-        for (i, p) in all.iter().enumerate() {
-            prop_assert_eq!(xb[i], x.query(p).reported > 0, "x probe {}", i);
-            prop_assert_eq!(ab[i], a.query(p), "a probe {}", i);
+    }
+
+    #[test]
+    fn cshbf_m_insert_batch_equals_scalar_inserts(
+        members in keys_strategy(120),
+        seed in any::<u64>(),
+    ) {
+        for family in FAMILIES {
+            let mut batched = CShbfM::with_family(4096, 6, 14, 4, family, seed).unwrap();
+            batched.insert_batch(&members);
+            let mut scalar = CShbfM::with_family(4096, 6, 14, 4, family, seed).unwrap();
+            for m in &members {
+                scalar.insert(m);
+            }
+            prop_assert_eq!(batched.to_bytes(), scalar.to_bytes());
         }
     }
 
@@ -215,6 +253,113 @@ proptest! {
         }
         for p in &members {
             prop_assert!(m2.contains(p), "roundtripped one-shot lost a member");
+        }
+    }
+}
+
+/// Keys `0..n` as 9-byte strings: a tag byte, so members and probes
+/// differ, then the index.
+fn keys(tag: u8, n: usize) -> Vec<[u8; 9]> {
+    (0..n as u64)
+        .map(|i| {
+            let mut key = [tag; 9];
+            key[1..].copy_from_slice(&i.to_le_bytes());
+            key
+        })
+        .collect()
+}
+
+/// `f` applied to every key of `batch`: the scalar reference answers.
+fn scalar<R>(batch: &[[u8; 9]], f: impl Fn(&[u8]) -> R) -> Vec<R> {
+    batch.iter().map(|p| f(p)).collect()
+}
+
+/// Every batch entry point, fed batches one short of, exactly at and one
+/// past multiples of [`BATCH_CHUNK`] (plus the empty batch), answers like
+/// its scalar query. `k = 130` and `k = 600` go far past the usual
+/// geometry, where a key's positions outgrow any fixed per-chunk stage.
+#[test]
+fn batch_lengths_straddle_the_chunk() {
+    let lengths = [
+        0,
+        1,
+        BATCH_CHUNK - 1,
+        BATCH_CHUNK,
+        BATCH_CHUNK + 1,
+        2 * BATCH_CHUNK + 1,
+        5 * BATCH_CHUNK - 1,
+    ];
+    let members = keys(1, 5 * BATCH_CHUNK);
+    for family in FAMILIES {
+        for k in [8, 130, 600] {
+            let mut m = ShbfM::with_family(1 << 16, k, 57, family, 7).unwrap();
+            let mut cm = CShbfM::with_family(1 << 16, k, 14, 4, family, 7).unwrap();
+            let mut scalar_m = ShbfM::with_family(1 << 16, k, 57, family, 7).unwrap();
+            let mut scalar_cm = CShbfM::with_family(1 << 16, k, 14, 4, family, 7).unwrap();
+            let mut start = 0;
+            for &len in &lengths {
+                let end = (start + len).min(members.len());
+                m.insert_batch(&members[start..end]);
+                cm.insert_batch(&members[start..end]);
+                for key in &members[start..end] {
+                    scalar_m.insert(key);
+                    scalar_cm.insert(key);
+                }
+                start = end;
+            }
+            assert_eq!(m.to_bytes(), scalar_m.to_bytes(), "{family:?} k={k}");
+            assert_eq!(cm.to_bytes(), scalar_cm.to_bytes(), "{family:?} k={k}");
+
+            let entries: Vec<([u8; 9], u64)> = members
+                .iter()
+                .enumerate()
+                .map(|(i, key)| (*key, (i % 70) as u64 + 1))
+                .collect();
+            let x = ShbfX::build_with_family(&entries, 1 << 16, k, 70, family, 7).unwrap();
+            let a = ShbfA::builder()
+                .hashes(k)
+                .seed(7)
+                .family(family)
+                .build(&members[..60], &members[40..100])
+                .unwrap();
+            let mut cx =
+                CShbfX::with_family(1 << 16, k, 70, UpdatePolicy::ExactTable, 8, family, 7)
+                    .unwrap();
+            let mut ca = CShbfA::with_family(1 << 16, k, 57, 4, family, 7).unwrap();
+            let mut ms = CShbfMs::with_family(1 << 16, k, 16, 4, family, 7).unwrap();
+            for (i, key) in members.iter().enumerate() {
+                cx.insert(key).unwrap();
+                ca.insert(key, if i % 3 == 0 { SetId::S2 } else { SetId::S1 });
+                ms.insert(key, i % 16).unwrap();
+            }
+
+            let probes: Vec<[u8; 9]> = members
+                .iter()
+                .chain(&keys(2, 3 * BATCH_CHUNK))
+                .copied()
+                .collect();
+            for &len in &lengths {
+                let batch = &probes[probes.len() - len..];
+                let mut hits = Vec::new();
+                let mut masks = Vec::new();
+                let mut counts = Vec::new();
+                let mut answers = Vec::new();
+
+                assert_eq!(m.contains_batch(batch), scalar(batch, |p| m.contains(p)));
+                assert_eq!(cm.contains_batch(batch), scalar(batch, |p| cm.contains(p)));
+                x.query_batch_into(batch, &mut counts);
+                assert_eq!(counts, scalar(batch, |p| x.query(p).reported));
+                a.query_batch_into(batch, &mut answers);
+                assert_eq!(answers, scalar(batch, |p| a.query(p)));
+                ca.query_batch_into(batch, &mut answers);
+                assert_eq!(answers, scalar(batch, |p| ca.query(p)));
+                cx.contains_batch_into(batch, &mut hits);
+                assert_eq!(hits, scalar(batch, |p| cx.query(p).reported > 0));
+                ms.query_batch_into(batch, &mut masks);
+                assert_eq!(masks, scalar(batch, |p| ms.query(p)));
+                ms.contains_batch_into(batch, &mut hits);
+                assert_eq!(hits, scalar(batch, |p| ms.query(p) != 0));
+            }
         }
     }
 }

@@ -475,6 +475,73 @@ fn connection_cap_is_one_total_across_reactor_loops() {
     }
 }
 
+/// A place reserved by a loop that has not accepted yet must not make a
+/// sibling shed below the cap. Loop A is held inside a stalled `SNAPSHOT`
+/// while loop B, woken by the next connection, stalls just before its
+/// accept (`transport::pre_accept`). Loop A then accepts two more
+/// connections: three in all, the cap, and none may be shed.
+#[test]
+fn a_stalled_sibling_accept_sheds_nothing_below_the_cap() {
+    let _session = fault_session();
+    let dir = temp_dir("pre-accept");
+    let engine = Arc::new(Engine::new());
+    let metrics = Arc::clone(engine.transport_metrics());
+    let (handle, addr) = start(
+        engine,
+        ServerConfig {
+            max_connections: 3,
+            evented_workers: 2,
+            shed_busy: true,
+            ..ServerConfig::default()
+        },
+    );
+    let admitted_or_shed = |n: u64| {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while {
+            let now = metrics.snapshot();
+            now.accepted + now.shed < n
+        } {
+            assert!(Instant::now() < deadline, "accepts stalled");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    };
+    let connect = || {
+        let s = TcpStream::connect(addr).unwrap();
+        s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        s
+    };
+    let mut busy = connect();
+    admitted_or_shed(1);
+    failpoint::set("snapshot::write", failpoint::Action::Delay(800));
+    let snapshot = format!("SNAPSHOT {}\r\n", dir.join("w.snap").display());
+    busy.write_all(snapshot.as_bytes()).unwrap();
+    std::thread::sleep(Duration::from_millis(200));
+    failpoint::set("transport::pre_accept", failpoint::Action::Delay(3000));
+    let second = connect();
+    std::thread::sleep(Duration::from_millis(200));
+    failpoint::set("transport::pre_accept", failpoint::Action::Off);
+    admitted_or_shed(2);
+    let third = connect();
+    admitted_or_shed(3);
+    assert_eq!(
+        metrics.snapshot().shed,
+        0,
+        "a connection was shed below the cap"
+    );
+    for mut conn in [&second, &third] {
+        conn.write_all(b"PING\r\n").unwrap();
+        let mut pong = [0u8; 7];
+        conn.read_exact(&mut pong).unwrap();
+        assert_eq!(&pong, b"+PONG\r\n");
+    }
+    let mut reply = [0u8; 3];
+    busy.read_exact(&mut reply).unwrap();
+    assert_eq!(&reply, b"+OK");
+    drop((busy, second, third));
+    handle.shutdown().unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// Mutations are clock-timed on every dispatch, not sampled: with every
 /// WAL fsync stalled 20 ms, each `INSERT` lands in `SLOWLOG` with its
 /// full duration.
