@@ -270,7 +270,8 @@ impl<'a> Reader<'a> {
             return Err(CodecError::InvalidField("counter width"));
         }
         let words = self.words()?;
-        if words.len() != (len * width as usize).div_ceil(64) {
+        let bits = len.checked_mul(width as usize);
+        if bits.map(|b| b.div_ceil(64)) != Some(words.len()) {
             return Err(CodecError::InvalidField("counter array word count"));
         }
         Ok(CounterArray::from_words(words, len, width))
@@ -332,6 +333,19 @@ mod tests {
         assert_eq!(back.get(76), 1);
         assert_eq!(back.len(), 77);
         assert_eq!(back.width(), 6);
+    }
+
+    #[test]
+    fn counter_array_length_overflow_is_an_error() {
+        // len × width overflows usize: refused, not wrapped or panicked.
+        let mut w = Writer::new(2);
+        w.u64(u64::MAX / 2).u32(4).words(&[0]);
+        let blob = w.finish();
+        let mut r = Reader::new(&blob, 2).unwrap();
+        assert_eq!(
+            r.counter_array().unwrap_err(),
+            CodecError::InvalidField("counter array word count")
+        );
     }
 
     #[test]

@@ -4,6 +4,13 @@
 //! enough" (§3.3) and uses 6-bit counters for Spectral BF / CM sketch in the
 //! evaluation (§6.4.1). Counters are packed so that `⌊(w−7)/z⌋`-slot windows
 //! remain single-access (the CShBF_M update bound in §3.3).
+//!
+//! This file also holds the one counter-to-mirror sync rule every counting
+//! filter uses (§3.3): the counters `C` take updates and the bit array `B`
+//! that answers queries mirrors "counter nonzero". See
+//! [`CounterArray::inc_and_set`] and its siblings.
+
+use crate::bitarray::BitArray;
 
 /// A fixed-length array of `z`-bit saturating counters packed into `u64`s.
 ///
@@ -222,6 +229,50 @@ impl CounterArray {
     }
 }
 
+/// The counter-to-mirror sync rule: after every update the mirror bit of
+/// a counter equals "counter nonzero". These four methods are the only
+/// code in the counting filters (and the server's `WHICH` summaries) that
+/// touches a mirror bit on update.
+impl CounterArray {
+    /// Increments counter `i` (saturating, see [`Self::inc`]) and sets
+    /// mirror bit `i`. Returns the new value: 1 means the bit went 0 → 1.
+    #[inline]
+    pub fn inc_and_set(&mut self, i: usize, mirror: &mut BitArray) -> u64 {
+        mirror.set(i);
+        self.inc(i)
+    }
+
+    /// Decrements counter `i` (sticky at the maximum, see [`Self::dec`])
+    /// and clears mirror bit `i` when the counter reaches zero. Returns the
+    /// new value, or `None` if the counter was already 0.
+    #[inline]
+    pub fn dec_and_clear(&mut self, i: usize, mirror: &mut BitArray) -> Option<u64> {
+        let v = self.dec(i);
+        if v == Some(0) {
+            mirror.clear(i);
+        }
+        v
+    }
+
+    /// Rebuilds the mirror from the counters, as after decoding `C`: one
+    /// bit per counter, set iff the counter is nonzero.
+    pub fn mirror(&self) -> BitArray {
+        let mut bits = BitArray::new(self.len);
+        for i in (0..self.len).filter(|&i| self.get(i) != 0) {
+            bits.set(i);
+        }
+        bits
+    }
+
+    /// Number of positions where `mirror` disagrees with "counter nonzero"
+    /// (0 when in sync; a length difference counts each unmatched bit).
+    pub fn mirror_mismatches(&self, mirror: &BitArray) -> usize {
+        let shared = self.len.min(mirror.len());
+        let differ = (0..shared).filter(|&i| mirror.get(i) != (self.get(i) != 0));
+        differ.count() + self.len.abs_diff(mirror.len())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -317,6 +368,31 @@ mod tests {
         let r = CounterArray::from_words(c.as_words().to_vec(), 21, 6);
         assert_eq!(r.get(20), 33);
         assert_eq!(r.get(0), 1);
+    }
+
+    #[test]
+    fn sync_rule_keeps_the_mirror_equal_to_counter_nonzero() {
+        let mut c = CounterArray::new(8, 2); // max 3
+        let mut mirror = BitArray::new(8);
+        assert_eq!(c.inc_and_set(1, &mut mirror), 1);
+        assert_eq!(c.inc_and_set(1, &mut mirror), 2);
+        for _ in 0..4 {
+            c.inc_and_set(5, &mut mirror);
+        }
+        assert_eq!(c.dec_and_clear(1, &mut mirror), Some(1));
+        assert!(mirror.get(1));
+        assert_eq!(c.dec_and_clear(1, &mut mirror), Some(0));
+        assert!(!mirror.get(1));
+        assert_eq!(c.dec_and_clear(1, &mut mirror), None);
+        // Sticky at the maximum: the bit stays.
+        assert_eq!(c.dec_and_clear(5, &mut mirror), Some(3));
+        assert!(mirror.get(5));
+        assert_eq!(c.mirror(), mirror);
+        assert_eq!(c.mirror_mismatches(&mirror), 0);
+        mirror.set(2);
+        assert_eq!(c.mirror_mismatches(&mirror), 1);
+        // Bit 5 is missing and two positions have no mirror bit at all.
+        assert_eq!(c.mirror_mismatches(&BitArray::new(6)), 3);
     }
 
     #[test]

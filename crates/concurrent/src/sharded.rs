@@ -133,6 +133,12 @@ impl ShardedCShbfM {
             .sum()
     }
 
+    /// Mirror/counter mismatches summed over all shards (0 when every
+    /// shard is in sync; see [`CShbfM::check_sync`]).
+    pub fn check_sync(&self) -> usize {
+        self.shards.iter().map(|s| s.read().check_sync()).sum()
+    }
+
     /// Physical mirror bits summed over all shards.
     pub fn physical_bits(&self) -> u64 {
         self.shards

@@ -16,7 +16,7 @@
 //! is explicit in the answer.
 
 use shbf_bits::access::MemoryModel;
-use shbf_bits::{AccessStats, BitArray, Reader, Writer};
+use shbf_bits::{AccessStats, BitArray, CodecError, Reader, Writer};
 use shbf_hash::fnv::FnvHashSet;
 use shbf_hash::{FamilyKind, HashAlg, PreparedKey, QueryFamily};
 
@@ -187,15 +187,17 @@ impl ShbfABuilder {
 /// ```
 #[derive(Debug, Clone)]
 pub struct ShbfA {
-    bits: BitArray,
+    /// The bit array `B`; a [`crate::CShbfA`] keeps it synced to its
+    /// counters.
+    pub(crate) bits: BitArray,
     m: usize,
     k: usize,
     w_bar: usize,
     /// Offset half-range `(w̄ − 1)/2`: o1 ∈ [1, half], o2 − o1 ∈ [1, half].
     half: usize,
     /// `k` position hashes, then the o1 hash, then the o2-delta hash.
-    family: QueryFamily,
-    master_seed: u64,
+    pub(crate) family: QueryFamily,
+    pub(crate) master_seed: u64,
     n_distinct: u64,
 }
 
@@ -225,42 +227,84 @@ impl ShbfA {
         let n3 = t1.iter().filter(|e| t2.contains(*e)).count();
         let n_distinct = (n1 + n2 - n3) as u64;
 
-        let m = match cfg.m {
-            Some(m) if m > 0 => m,
-            Some(_) => return Err(ShbfError::ZeroSize("m")),
-            // Table 2: optimal m = (n1 + n2 − n3)·k/ln 2.
-            None => ((n_distinct as f64) * cfg.k as f64 / std::f64::consts::LN_2).ceil() as usize,
-        };
-        if m == 0 {
-            return Err(ShbfError::ZeroSize("m"));
-        }
-
-        let half = (cfg.w_bar - 1) / 2;
-        let mut filter = ShbfA {
-            // Max position = (m − 1) + 2·half; +1 for size.
-            bits: BitArray::new(m + 2 * half),
-            m,
-            k: cfg.k,
-            w_bar: cfg.w_bar,
-            half,
-            family: QueryFamily::new(cfg.family, cfg.seed, cfg.k + 2),
-            master_seed: cfg.seed,
-            n_distinct,
-        };
+        // Table 2: optimal m = (n1 + n2 − n3)·k/ln 2.
+        let m = cfg.m.unwrap_or_else(|| {
+            ((n_distinct as f64) * cfg.k as f64 / std::f64::consts::LN_2).ceil() as usize
+        });
+        let mut filter = Self::empty(m, cfg.k, cfg.w_bar, cfg.family, cfg.seed)?;
+        filter.n_distinct = n_distinct;
 
         // S1: offset 0 for S1 − S2, o1 for S1 ∩ S2.
         for e in &t1 {
             let o = if t2.contains(*e) { filter.o1(e) } else { 0 };
-            filter.set_all(e, o);
+            filter.for_each_shifted(e, o, |bits, i| bits.set(i));
         }
         // S2 − S1: offset o2. (Intersection already stored.)
         for e in &t2 {
             if !t1.contains(*e) {
                 let o = filter.o2(e);
-                filter.set_all(e, o);
+                filter.for_each_shifted(e, o, |bits, i| bits.set(i));
             }
         }
         Ok(filter)
+    }
+
+    /// Validates the geometry and returns the physical array length
+    /// `m + 2·⌊(w̄ − 1)/2⌋` (the largest position is `(m − 1) + o2`),
+    /// checked so that a decoded `m` cannot wrap it.
+    fn physical_bits(m: usize, k: usize, w_bar: usize) -> Result<usize, ShbfError> {
+        if m == 0 {
+            return Err(ShbfError::ZeroSize("m"));
+        }
+        if k == 0 {
+            return Err(ShbfError::KZero);
+        }
+        let max = MemoryModel::default().max_window();
+        if !(3..=max).contains(&w_bar) {
+            return Err(ShbfError::WBarOutOfRange { w_bar, max });
+        }
+        m.checked_add(2 * ((w_bar - 1) / 2))
+            .ok_or(ShbfError::CapacityExceeded("array length overflows usize"))
+    }
+
+    /// An empty filter (no set encoded yet): the start of [`Self::build`]
+    /// and of every [`crate::CShbfA`].
+    pub(crate) fn empty(
+        m: usize,
+        k: usize,
+        w_bar: usize,
+        family: FamilyKind,
+        seed: u64,
+    ) -> Result<Self, ShbfError> {
+        let bits = BitArray::new(Self::physical_bits(m, k, w_bar)?);
+        Self::from_bits(m, k, w_bar, family, seed, bits, 0)
+    }
+
+    /// Assembles a filter over `bits` once the geometry checks out against
+    /// its length: the decode path, for [`Self::from_bytes`] and for
+    /// [`crate::CShbfA`]'s mirror rebuilt from its counters.
+    pub(crate) fn from_bits(
+        m: usize,
+        k: usize,
+        w_bar: usize,
+        family: FamilyKind,
+        seed: u64,
+        bits: BitArray,
+        n_distinct: u64,
+    ) -> Result<Self, ShbfError> {
+        if Self::physical_bits(m, k, w_bar)? != bits.len() {
+            return Err(CodecError::InvalidField("bit array size").into());
+        }
+        Ok(ShbfA {
+            bits,
+            m,
+            k,
+            w_bar,
+            half: (w_bar - 1) / 2,
+            family: QueryFamily::new(family, seed, k + 2),
+            master_seed: seed,
+            n_distinct,
+        })
     }
 
     /// Starts a builder.
@@ -307,21 +351,31 @@ impl ShbfA {
         self.o1_of(key) + shbf_hash::range_reduce(key.index(self.k + 1), self.half) + 1
     }
 
+    /// The intersection offset `o1(e)`.
     #[inline]
-    fn o1(&self, item: &[u8]) -> usize {
+    pub(crate) fn o1(&self, item: &[u8]) -> usize {
         self.o1_of(&self.family.prepare(item))
     }
 
+    /// The S2 − S1 offset `o2(e)`.
     #[inline]
-    fn o2(&self, item: &[u8]) -> usize {
+    pub(crate) fn o2(&self, item: &[u8]) -> usize {
         self.o2_of(&self.family.prepare(item))
     }
 
-    fn set_all(&mut self, item: &[u8], offset: usize) {
+    /// Hands `item`'s `k` bit indexes at region offset `offset` to `f` with
+    /// the bit array: the one update path of [`Self::build`] and of
+    /// [`crate::CShbfA`], whose `f` runs the counter sync rule.
+    pub(crate) fn for_each_shifted(
+        &mut self,
+        item: &[u8],
+        offset: usize,
+        mut f: impl FnMut(&mut BitArray, usize),
+    ) {
         let key = self.family.prepare(item);
         for i in 0..self.k {
             let pos = shbf_hash::range_reduce(key.index(i), self.m);
-            self.bits.set(pos + offset);
+            f(&mut self.bits, pos + offset);
         }
     }
 
@@ -353,8 +407,13 @@ impl ShbfA {
     /// element is (possibly) somewhere in `S1 ∪ S2`.
     pub fn contains_batch<T: AsRef<[u8]>>(&self, items: &[T]) -> Vec<bool> {
         let mut out = Vec::with_capacity(items.len());
-        self.query_batch_map(items, &mut out, |a| a != AssociationAnswer::NotInUnion);
+        self.contains_batch_into(items, &mut out);
         out
+    }
+
+    /// [`Self::contains_batch`] writing into a caller-owned buffer.
+    pub(crate) fn contains_batch_into<T: AsRef<[u8]>>(&self, items: &[T], out: &mut Vec<bool>) {
+        self.query_batch_map(items, out, |a| a != AssociationAnswer::NotInUnion);
     }
 
     /// The batch pipeline, mapping each answer through `f` as it is
@@ -438,36 +497,13 @@ impl ShbfA {
         let m = r.u64()? as usize;
         let k = r.u64()? as usize;
         let w_bar = r.u64()? as usize;
-        let family = FamilyKind::from_tag(r.u8()?).ok_or(ShbfError::Codec(
-            shbf_bits::CodecError::InvalidField("hash family"),
-        ))?;
+        let family =
+            FamilyKind::from_tag(r.u8()?).ok_or(CodecError::InvalidField("hash family"))?;
         let seed = r.u64()?;
         let n_distinct = r.u64()?;
         let bits = r.bit_array()?;
         r.expect_end()?;
-        if m == 0 {
-            return Err(ShbfError::ZeroSize("m"));
-        }
-        let max = MemoryModel::default().max_window();
-        if !(3..=max).contains(&w_bar) {
-            return Err(ShbfError::WBarOutOfRange { w_bar, max });
-        }
-        let half = (w_bar - 1) / 2;
-        if bits.len() != m + 2 * half {
-            return Err(ShbfError::Codec(shbf_bits::CodecError::InvalidField(
-                "bit array size",
-            )));
-        }
-        Ok(ShbfA {
-            bits,
-            m,
-            k,
-            w_bar,
-            half,
-            family: QueryFamily::new(family, seed, k + 2),
-            master_seed: seed,
-            n_distinct,
-        })
+        Self::from_bits(m, k, w_bar, family, seed, bits, n_distinct)
     }
 }
 

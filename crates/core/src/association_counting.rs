@@ -5,17 +5,17 @@
 //! (S1 − S2) to the offset-o1 class (S1 ∩ S2). The paper's update procedure
 //! — "after querying T1 and T2 and determining whether o(e) = 0, o1, or o2,
 //! increment/decrement the k counters" — implies exactly this re-encoding;
-//! this type maintains T1/T2, the counter array (DRAM side) and the bit
-//! mirror (SRAM side) through all six region transitions.
+//! this type maintains T1/T2 and the counter array (DRAM side) beside a
+//! [`crate::ShbfA`] whose bit array (SRAM side) answers every query, through
+//! all six region transitions.
 
 use shbf_bits::access::MemoryModel;
-use shbf_bits::{BitArray, CounterArray};
+use shbf_bits::{CodecError, CounterArray};
 use shbf_hash::fnv::FnvHashSet;
-use shbf_hash::{FamilyKind, HashAlg, PreparedKey, QueryFamily};
+use shbf_hash::{FamilyKind, HashAlg};
 
-use crate::association::AssociationAnswer;
+use crate::association::{AssociationAnswer, ShbfA};
 use crate::error::ShbfError;
-use crate::Step;
 
 /// Which of the two sets an update targets.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -38,17 +38,13 @@ enum Region {
 /// Counting Shifting Bloom Filter for association queries with updates.
 #[derive(Debug, Clone)]
 pub struct CShbfA {
+    /// SRAM-side filter (query path); its bit array mirrors the counters.
+    filter: ShbfA,
+    /// DRAM-side counters (update path).
     counters: CounterArray,
-    bits: BitArray,
     /// Membership tables (the paper's T1/T2), authoritative for regions.
     t1: FnvHashSet<Vec<u8>>,
     t2: FnvHashSet<Vec<u8>>,
-    m: usize,
-    k: usize,
-    w_bar: usize,
-    half: usize,
-    family: QueryFamily,
-    master_seed: u64,
 }
 
 /// Serialization kind tag (core tags 1–6 live in [`crate::kind`];
@@ -90,29 +86,13 @@ impl CShbfA {
         family: FamilyKind,
         seed: u64,
     ) -> Result<Self, ShbfError> {
-        if m == 0 {
-            return Err(ShbfError::ZeroSize("m"));
-        }
-        if k == 0 {
-            return Err(ShbfError::KZero);
-        }
-        let max = MemoryModel::default().max_window();
-        if !(3..=max).contains(&w_bar) {
-            return Err(ShbfError::WBarOutOfRange { w_bar, max });
-        }
-        let half = (w_bar - 1) / 2;
-        let physical = m + 2 * half;
+        let filter = ShbfA::empty(m, k, w_bar, family, seed)?;
+        let counters = CounterArray::new(filter.bits.len(), counter_bits);
         Ok(CShbfA {
-            counters: CounterArray::new(physical, counter_bits),
-            bits: BitArray::new(physical),
+            filter,
+            counters,
             t1: FnvHashSet::default(),
             t2: FnvHashSet::default(),
-            m,
-            k,
-            w_bar,
-            half,
-            family: QueryFamily::new(family, seed, k + 2),
-            master_seed: seed,
         })
     }
 
@@ -129,27 +109,7 @@ impl CShbfA {
     /// Offset window bound `w̄`.
     #[inline]
     pub fn w_bar(&self) -> usize {
-        self.w_bar
-    }
-
-    #[inline]
-    fn o1_of(&self, key: &PreparedKey<'_>) -> usize {
-        shbf_hash::range_reduce(key.index(self.k), self.half) + 1
-    }
-
-    #[inline]
-    fn o2_of(&self, key: &PreparedKey<'_>) -> usize {
-        self.o1_of(key) + shbf_hash::range_reduce(key.index(self.k + 1), self.half) + 1
-    }
-
-    #[inline]
-    fn o1(&self, item: &[u8]) -> usize {
-        self.o1_of(&self.family.prepare(item))
-    }
-
-    #[inline]
-    fn o2(&self, item: &[u8]) -> usize {
-        self.o2_of(&self.family.prepare(item))
+        self.filter.w_bar()
     }
 
     fn region_of(&self, item: &[u8]) -> Region {
@@ -165,27 +125,8 @@ impl CShbfA {
         match region {
             Region::None => None,
             Region::S1Only => Some(0),
-            Region::Both => Some(self.o1(item)),
-            Region::S2Only => Some(self.o2(item)),
-        }
-    }
-
-    fn encode(&mut self, item: &[u8], offset: usize) {
-        let key = self.family.prepare(item);
-        for i in 0..self.k {
-            let idx = shbf_hash::range_reduce(key.index(i), self.m) + offset;
-            self.counters.inc(idx);
-            self.bits.set(idx);
-        }
-    }
-
-    fn unencode(&mut self, item: &[u8], offset: usize) {
-        let key = self.family.prepare(item);
-        for i in 0..self.k {
-            let idx = shbf_hash::range_reduce(key.index(i), self.m) + offset;
-            if let Some(0) = self.counters.dec(idx) {
-                self.bits.clear(idx);
-            }
+            Region::Both => Some(self.filter.o1(item)),
+            Region::S2Only => Some(self.filter.o2(item)),
         }
     }
 
@@ -193,11 +134,17 @@ impl CShbfA {
         if from == to {
             return;
         }
-        if let Some(o) = self.region_offset(from, item) {
-            self.unencode(item, o);
+        let (old, new) = (self.region_offset(from, item), self.region_offset(to, item));
+        let counters = &mut self.counters;
+        if let Some(o) = old {
+            self.filter.for_each_shifted(item, o, |bits, i| {
+                counters.dec_and_clear(i, bits);
+            });
         }
-        if let Some(o) = self.region_offset(to, item) {
-            self.encode(item, o);
+        if let Some(o) = new {
+            self.filter.for_each_shifted(item, o, |bits, i| {
+                counters.inc_and_set(i, bits);
+            });
         }
     }
 
@@ -235,74 +182,45 @@ impl CShbfA {
     /// Association query against the SRAM-side bit mirror — identical
     /// semantics to [`crate::ShbfA::query`].
     pub fn query(&self, item: &[u8]) -> AssociationAnswer {
-        let key = self.family.prepare(item);
-        let positions = (0..self.k).map(|i| shbf_hash::range_reduce(key.index(i), self.m));
-        AssociationAnswer::probe(&self.bits, positions, self.o1_of(&key), self.o2_of(&key))
+        self.filter.query(item)
     }
 
     /// Batched association queries against the bit mirror, one answer per
     /// element in input order, via the prefetched two-stage pipeline.
     pub fn query_batch<T: AsRef<[u8]>>(&self, items: &[T]) -> Vec<AssociationAnswer> {
-        let mut out = Vec::with_capacity(items.len());
-        self.query_batch_into(items, &mut out);
-        out
+        self.filter.query_batch(items)
     }
 
     /// [`Self::query_batch`] writing into a caller-owned buffer (cleared
     /// first), sparing the reply-buffer allocation per batch.
     pub fn query_batch_into<T: AsRef<[u8]>>(&self, items: &[T], out: &mut Vec<AssociationAnswer>) {
-        self.query_batch_map(items, out, |a| a);
+        self.filter.query_batch_into(items, out);
     }
 
     /// Batched membership view: true iff the element is (possibly) in
     /// `S1 ∪ S2` — the server's `MQUERY` path for association namespaces.
     pub fn contains_batch<T: AsRef<[u8]>>(&self, items: &[T]) -> Vec<bool> {
-        let mut out = Vec::with_capacity(items.len());
-        self.contains_batch_into(items, &mut out);
-        out
+        self.filter.contains_batch(items)
     }
 
     /// [`Self::contains_batch`] writing into a caller-owned buffer.
     pub fn contains_batch_into<T: AsRef<[u8]>>(&self, items: &[T], out: &mut Vec<bool>) {
-        self.query_batch_map(items, out, |a| a != AssociationAnswer::NotInUnion);
-    }
-
-    /// The batch pipeline, mapping each answer through `f` as it is
-    /// produced (no intermediate answer vector for the boolean view).
-    fn query_batch_map<T: AsRef<[u8]>, R>(
-        &self,
-        items: &[T],
-        out: &mut Vec<R>,
-        f: impl Fn(AssociationAnswer) -> R,
-    ) {
-        out.clear();
-        out.reserve(items.len());
-        let offsets = |key: &PreparedKey<'_>| (self.o1_of(key), self.o2_of(key));
-        let probe = |step: Step<'_, (usize, usize)>| match step {
-            Step::Prefetch(pos) => self.bits.prefetch(pos),
-            Step::Visit(positions, (o1, o2)) => {
-                let positions = positions.iter().copied();
-                out.push(f(AssociationAnswer::probe(&self.bits, positions, o1, o2)));
-            }
-        };
-        crate::pipeline(items, &self.family, self.m, self.k, offsets, probe);
+        self.filter.contains_batch_into(items, out);
     }
 
     /// Number of set bits in the on-chip mirror.
     pub fn count_ones(&self) -> usize {
-        self.bits.count_ones()
+        self.filter.bits.count_ones()
     }
 
     /// Physical length of the on-chip mirror in bits.
     pub fn physical_bits(&self) -> usize {
-        self.bits.len()
+        self.filter.bits.len()
     }
 
     /// Consistency check: bit mirror must equal "counter nonzero".
     pub fn check_sync(&self) -> usize {
-        (0..self.bits.len())
-            .filter(|&i| self.bits.get(i) != (self.counters.get(i) != 0))
-            .count()
+        self.counters.mirror_mismatches(&self.filter.bits)
     }
 
     /// Serializes the filter: parameters, counters, and both membership
@@ -310,12 +228,12 @@ impl CShbfA {
     /// the bit mirror is rebuilt on load).
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut w = shbf_bits::Writer::new(CSHBF_A_KIND);
-        w.u64(self.m as u64)
-            .u64(self.k as u64)
-            .u64(self.w_bar as u64)
+        w.u64(self.filter.m() as u64)
+            .u64(self.filter.k() as u64)
+            .u64(self.w_bar() as u64)
             .u32(self.counters.width())
-            .u8(self.family.kind().tag())
-            .u64(self.master_seed)
+            .u8(self.filter.family.kind().tag())
+            .u64(self.filter.master_seed)
             .counter_array(&self.counters);
         for table in [&self.t1, &self.t2] {
             // Sort for a canonical encoding: equal filters serialize
@@ -337,17 +255,20 @@ impl CShbfA {
         let k = r.u64()? as usize;
         let w_bar = r.u64()? as usize;
         let counter_bits = r.u32()?;
-        let family = FamilyKind::from_tag(r.u8()?).ok_or(ShbfError::Codec(
-            shbf_bits::CodecError::InvalidField("hash family"),
-        ))?;
+        let family =
+            FamilyKind::from_tag(r.u8()?).ok_or(CodecError::InvalidField("hash family"))?;
         let seed = r.u64()?;
         let counters = r.counter_array()?;
-        let mut f = Self::with_family(m, k, w_bar, counter_bits, family, seed)?;
-        if counters.len() != f.counters.len() {
-            return Err(ShbfError::Codec(shbf_bits::CodecError::InvalidField(
-                "counter array size",
-            )));
+        let filter = ShbfA::from_bits(m, k, w_bar, family, seed, counters.mirror(), 0)?;
+        if counters.width() != counter_bits {
+            return Err(CodecError::InvalidField("counter width").into());
         }
+        let mut f = CShbfA {
+            filter,
+            counters,
+            t1: FnvHashSet::default(),
+            t2: FnvHashSet::default(),
+        };
         for table in [&mut f.t1, &mut f.t2] {
             let len = r.u64()? as usize;
             for _ in 0..len {
@@ -355,12 +276,6 @@ impl CShbfA {
             }
         }
         r.expect_end()?;
-        f.counters = counters;
-        for i in 0..f.counters.len() {
-            if f.counters.get(i) != 0 {
-                f.bits.set(i);
-            }
-        }
         Ok(f)
     }
 }

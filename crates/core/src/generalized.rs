@@ -13,7 +13,7 @@
 //! whole group still costs **one** memory access to probe.
 
 use shbf_bits::access::MemoryModel;
-use shbf_bits::{AccessStats, BitArray, Reader, Writer};
+use shbf_bits::{AccessStats, BitArray, CodecError, Reader, Writer};
 use shbf_hash::{HashAlg, HashFamily, SeededFamily};
 
 use crate::error::ShbfError;
@@ -70,6 +70,13 @@ impl GenShbfM {
         alg: HashAlg,
         seed: u64,
     ) -> Result<Self, ShbfError> {
+        let bits = BitArray::new(Self::physical_bits(m, k, t, w_bar)?);
+        Self::from_bits(m, k, t, w_bar, alg, seed, bits)
+    }
+
+    /// Validates the geometry and returns the physical array length
+    /// `m + w̄ − 1`, checked so that a decoded `m` cannot wrap it.
+    fn physical_bits(m: usize, k: usize, t: usize, w_bar: usize) -> Result<usize, ShbfError> {
         if m == 0 {
             return Err(ShbfError::ZeroSize("m"));
         }
@@ -79,26 +86,40 @@ impl GenShbfM {
         if t == 0 {
             return Err(ShbfError::ZeroSize("t"));
         }
-        if !k.is_multiple_of(t + 1) {
-            return Err(ShbfError::KNotDivisible { k, group: t + 1 });
+        let group = t.saturating_add(1);
+        if !k.is_multiple_of(group) {
+            return Err(ShbfError::KNotDivisible { k, group });
         }
         let max = MemoryModel::default().max_window();
-        if !(2..=max).contains(&w_bar) {
+        if !(2..=max).contains(&w_bar) || (w_bar - 1) / t == 0 {
             return Err(ShbfError::WBarOutOfRange { w_bar, max });
         }
-        let segment = (w_bar - 1) / t;
-        if segment == 0 {
-            return Err(ShbfError::WBarOutOfRange { w_bar, max });
+        m.checked_add(w_bar - 1)
+            .ok_or(ShbfError::CapacityExceeded("array length overflows usize"))
+    }
+
+    /// Assembles a filter over `bits` once the geometry checks out against
+    /// its length (the decode path).
+    fn from_bits(
+        m: usize,
+        k: usize,
+        t: usize,
+        w_bar: usize,
+        alg: HashAlg,
+        seed: u64,
+        bits: BitArray,
+    ) -> Result<Self, ShbfError> {
+        if Self::physical_bits(m, k, t, w_bar)? != bits.len() {
+            return Err(CodecError::InvalidField("bit array size").into());
         }
-        let groups = k / (t + 1);
         Ok(GenShbfM {
-            bits: BitArray::new(m + w_bar - 1),
+            bits,
             m,
             k,
             t,
             w_bar,
-            segment,
-            family: SeededFamily::new(alg, seed, groups + t),
+            segment: (w_bar - 1) / t,
+            family: SeededFamily::new(alg, seed, k / (t + 1) + t),
             alg,
             master_seed: seed,
             items: 0,
@@ -232,22 +253,13 @@ impl GenShbfM {
         let k = r.u64()? as usize;
         let t = r.u64()? as usize;
         let w_bar = r.u64()? as usize;
-        let alg = HashAlg::from_tag(r.u8()?).ok_or(ShbfError::Codec(
-            shbf_bits::CodecError::InvalidField("hash alg"),
-        ))?;
+        let alg = HashAlg::from_tag(r.u8()?).ok_or(CodecError::InvalidField("hash alg"))?;
         let seed = r.u64()?;
         let items = r.u64()?;
         let bits = r.bit_array()?;
         r.expect_end()?;
-        let mut f = Self::with_config(m, k, t, w_bar, alg, seed)?;
-        if bits.len() != f.bits.len() {
-            return Err(ShbfError::Codec(shbf_bits::CodecError::InvalidField(
-                "bit array size",
-            )));
-        }
-        f.bits = bits;
-        f.items = items;
-        Ok(f)
+        let filter = Self::from_bits(m, k, t, w_bar, alg, seed, bits)?;
+        Ok(GenShbfM { items, ..filter })
     }
 }
 

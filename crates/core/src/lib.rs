@@ -16,10 +16,18 @@
 //! | membership | [`ShbfM`] / [`CShbfM`] | nothing (halves hashes & accesses) | §3 |
 //! | association | [`ShbfA`] / [`CShbfA`] | which of S1−S2 / S1∩S2 / S2−S1 | §4 |
 //! | multiplicity | [`ShbfX`] / [`CShbfX`] | the element's count − 1 | §5 |
+//! | multi-set | [`ShbfX`] window / [`CShbfMs`] | the set id (`c` = number of sets) | §4, §5 |
 //!
 //! Plus the generalized construction with `t` shifts per hash group
 //! ([`GenShbfM`], §3.6) and the shifting count-min sketch ([`ScmSketch`],
 //! §5.5).
+//!
+//! Every counting variant is layered the paper's way (§3.3, §4.3, §5.3):
+//! it holds its static filter, whose bit array `B` answers every query,
+//! batch and profiled probe, and beside it a counter array `C` that takes
+//! the updates. After each update `shbf-bits` syncs `C` into `B` with one
+//! rule ([`shbf_bits::CounterArray::inc_and_set`] and its siblings), and a
+//! decoder rebuilds `B` from the decoded counters.
 //!
 //! ```
 //! use shbf_core::ShbfM;

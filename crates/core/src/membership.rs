@@ -12,7 +12,7 @@
 //! false-positive rate (Theorem 1, validated in Fig. 7).
 
 use shbf_bits::access::MemoryModel;
-use shbf_bits::{AccessStats, BitArray, Reader, Writer};
+use shbf_bits::{AccessStats, BitArray, CodecError, CounterArray, Reader, Writer};
 use shbf_hash::{FamilyKind, HashAlg, PreparedKey, QueryFamily};
 
 use crate::error::ShbfError;
@@ -22,7 +22,9 @@ use crate::Step;
 /// Shifting Bloom Filter for membership queries.
 #[derive(Debug, Clone)]
 pub struct ShbfM {
-    bits: BitArray,
+    /// The bit array `B`; a [`crate::CShbfM`] keeps it synced to its
+    /// counters.
+    pub(crate) bits: BitArray,
     /// Logical array size `m` (positions are `h % m`; the physical array has
     /// `m + w̄ − 1` bits of tail padding so `h % m + o` never wraps).
     m: usize,
@@ -30,15 +32,16 @@ pub struct ShbfM {
     k: usize,
     /// Offset bound: offsets are drawn from `[1, w̄ − 1]`.
     w_bar: usize,
-    family: QueryFamily,
-    master_seed: u64,
-    items: u64,
+    pub(crate) family: QueryFamily,
+    pub(crate) master_seed: u64,
+    /// Elements inserted (net of deletes under a [`crate::CShbfM`]).
+    pub(crate) items: u64,
 }
 
 /// The pair offset `o(e) = h_{k/2+1}(e) % (w̄ − 1) + 1` of a key whose
-/// `k/2` position hashes come first (§3.1), shared with [`crate::CShbfM`].
+/// `k/2` position hashes come first (§3.1).
 #[inline]
-pub(crate) fn pair_offset(key: &PreparedKey<'_>, pairs: usize, w_bar: usize) -> usize {
+fn pair_offset(key: &PreparedKey<'_>, pairs: usize, w_bar: usize) -> usize {
     shbf_hash::range_reduce(key.index(pairs), w_bar - 1) + 1
 }
 
@@ -81,6 +84,13 @@ impl ShbfM {
         family: FamilyKind,
         seed: u64,
     ) -> Result<Self, ShbfError> {
+        let bits = BitArray::new(Self::physical_bits(m, k, w_bar)?);
+        Self::from_bits(m, k, w_bar, family, seed, bits, 0)
+    }
+
+    /// Validates the geometry and returns the physical array length
+    /// `m + w̄ − 1`, checked so that a decoded `m` cannot wrap it.
+    fn physical_bits(m: usize, k: usize, w_bar: usize) -> Result<usize, ShbfError> {
         if m == 0 {
             return Err(ShbfError::ZeroSize("m"));
         }
@@ -94,38 +104,34 @@ impl ShbfM {
         if !(2..=max).contains(&w_bar) {
             return Err(ShbfError::WBarOutOfRange { w_bar, max });
         }
-        let pairs = k / 2;
-        Ok(ShbfM {
-            bits: BitArray::new(m + w_bar - 1),
-            m,
-            k,
-            w_bar,
-            family: QueryFamily::new(family, seed, pairs + 1),
-            master_seed: seed,
-            items: 0,
-        })
+        m.checked_add(w_bar - 1)
+            .ok_or(ShbfError::CapacityExceeded("array length overflows usize"))
     }
 
-    /// Assembles a filter from pre-built parts (used by [`crate::CShbfM`]'s
-    /// SRAM-snapshot export; parameters are assumed validated).
-    pub(crate) fn from_parts(
+    /// Assembles a filter over `bits` once the geometry checks out against
+    /// its length: the decode path, for [`Self::from_bytes`] and for
+    /// [`crate::CShbfM`]'s mirror rebuilt from its counters.
+    pub(crate) fn from_bits(
         m: usize,
         k: usize,
         w_bar: usize,
-        master_seed: u64,
-        family: QueryFamily,
+        family: FamilyKind,
+        seed: u64,
         bits: BitArray,
         items: u64,
-    ) -> Self {
-        ShbfM {
+    ) -> Result<Self, ShbfError> {
+        if Self::physical_bits(m, k, w_bar)? != bits.len() {
+            return Err(CodecError::InvalidField("bit array size").into());
+        }
+        Ok(ShbfM {
             bits,
             m,
             k,
             w_bar,
-            family,
-            master_seed,
+            family: QueryFamily::new(family, seed, k / 2 + 1),
+            master_seed: seed,
             items,
-        }
+        })
     }
 
     /// The paper's optimal (even) `k` for `n` expected elements in `m` bits
@@ -194,15 +200,36 @@ impl ShbfM {
     /// per [`crate::BATCH_CHUNK`]-sized chunk, stage 1 hashes every key once
     /// and prefetches the target words, stage 2 sets the bit pairs.
     pub fn insert_batch<T: AsRef<[u8]>>(&mut self, items: &[T]) {
+        self.insert_batch_with(items, None);
+    }
+
+    /// [`Self::insert_batch`], or, given a [`crate::CShbfM`]'s counters,
+    /// its counting form: stage 1 also prefetches each position's counter
+    /// word, and stage 2 puts every bit through the sync rule
+    /// ([`CounterArray::inc_and_set`]) instead of setting it directly.
+    pub(crate) fn insert_batch_with<T: AsRef<[u8]>>(
+        &mut self,
+        items: &[T],
+        mut counters: Option<&mut CounterArray>,
+    ) {
         let (pairs, w_bar) = (self.pairs(), self.w_bar);
         let bits = &mut self.bits;
         let offset = |key: &PreparedKey<'_>| pair_offset(key, pairs, w_bar);
         let update = |step: Step<'_, usize>| match step {
-            Step::Prefetch(pos) => bits.prefetch(pos),
+            Step::Prefetch(pos) => {
+                bits.prefetch(pos);
+                if let Some(c) = counters.as_deref() {
+                    c.prefetch(pos);
+                }
+            }
             Step::Visit(positions, o) => {
-                for &pos in positions {
-                    bits.set(pos);
-                    bits.set(pos + o);
+                for i in positions.iter().flat_map(|&pos| [pos, pos + o]) {
+                    match counters.as_deref_mut() {
+                        Some(c) => {
+                            c.inc_and_set(i, bits);
+                        }
+                        None => bits.set(i),
+                    }
                 }
             }
         };
@@ -251,14 +278,21 @@ impl ShbfM {
 
     /// Inserts an element: sets `k/2` bit pairs.
     pub fn insert(&mut self, item: &[u8]) {
+        self.for_each_bit(item, |bits, i| bits.set(i));
+        self.items += 1;
+    }
+
+    /// Hands each of `item`'s `k` bit indexes (both bits of every pair) to
+    /// `f` with the bit array: the one update path of [`Self::insert`] and
+    /// of [`crate::CShbfM`], whose `f` runs the counter sync rule.
+    pub(crate) fn for_each_bit(&mut self, item: &[u8], mut f: impl FnMut(&mut BitArray, usize)) {
         let key = self.family.prepare(item);
         let o = self.offset_of(&key);
         for i in 0..self.pairs() {
             let pos = shbf_hash::range_reduce(key.index(i), self.m);
-            self.bits.set(pos);
-            self.bits.set(pos + o);
+            f(&mut self.bits, pos);
+            f(&mut self.bits, pos + o);
         }
-        self.items += 1;
     }
 
     /// Membership query; short-circuits on the first zero pair (§3.2).
@@ -350,22 +384,13 @@ impl ShbfM {
         let m = r.u64()? as usize;
         let k = r.u64()? as usize;
         let w_bar = r.u64()? as usize;
-        let family = FamilyKind::from_tag(r.u8()?).ok_or(ShbfError::Codec(
-            shbf_bits::CodecError::InvalidField("hash family"),
-        ))?;
+        let family =
+            FamilyKind::from_tag(r.u8()?).ok_or(CodecError::InvalidField("hash family"))?;
         let seed = r.u64()?;
         let items = r.u64()?;
         let bits = r.bit_array()?;
         r.expect_end()?;
-        let mut filter = Self::with_family(m, k, w_bar, family, seed)?;
-        if bits.len() != filter.bits.len() {
-            return Err(ShbfError::Codec(shbf_bits::CodecError::InvalidField(
-                "bit array size",
-            )));
-        }
-        filter.bits = bits;
-        filter.items = items;
-        Ok(filter)
+        Self::from_bits(m, k, w_bar, family, seed, bits, items)
     }
 }
 

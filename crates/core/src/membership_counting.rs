@@ -4,9 +4,10 @@
 //! ShBF_M with a `z`-bit counter. The paper's deployment model: the bit
 //! array `B` lives in fast SRAM and serves queries; the counter array `C`
 //! lives in DRAM and serves updates; after each update `C` is synchronized
-//! to `B` (clear a bit when its counter reaches 0). This type maintains both
-//! arrays with incremental synchronization and can export the query-only
-//! [`crate::ShbfM`]-equivalent bit array via [`CShbfM::snapshot`].
+//! to `B` (clear a bit when its counter reaches 0). This type is exactly
+//! that: a [`crate::ShbfM`] answers every query, a [`CounterArray`] beside
+//! it takes the updates, and the sync rule in `shbf-bits` keeps the two
+//! alike. [`CShbfM::snapshot`] hands out the query-only filter.
 //!
 //! Counter-side single-access updates require `w̄ ≤ ⌊(w − 7)/z⌋` (§3.3) —
 //! 14 for 4-bit counters on 64-bit words — which is the default `w̄` here;
@@ -14,13 +15,12 @@
 //! the `ablation_wbar` bench.
 
 use shbf_bits::access::MemoryModel;
-use shbf_bits::{AccessStats, BitArray, CounterArray};
-use shbf_hash::{FamilyKind, HashAlg, PreparedKey, QueryFamily};
+use shbf_bits::{AccessStats, CodecError, CounterArray};
+use shbf_hash::{FamilyKind, HashAlg};
 
 use crate::error::ShbfError;
-use crate::membership::pair_offset;
+use crate::membership::ShbfM;
 use crate::traits::MembershipFilter;
-use crate::Step;
 
 /// Counting Shifting Bloom Filter for membership with updates.
 ///
@@ -39,17 +39,10 @@ use crate::Step;
 /// ```
 #[derive(Debug, Clone)]
 pub struct CShbfM {
+    /// SRAM-side filter (query path); its bit array mirrors the counters.
+    filter: ShbfM,
     /// DRAM-side counters (update path).
     counters: CounterArray,
-    /// SRAM-side bit mirror (query path), kept in sync on every update.
-    bits: BitArray,
-    m: usize,
-    k: usize,
-    w_bar: usize,
-    counter_bits: u32,
-    family: QueryFamily,
-    master_seed: u64,
-    items: u64,
 }
 
 impl CShbfM {
@@ -102,117 +95,62 @@ impl CShbfM {
         family: FamilyKind,
         seed: u64,
     ) -> Result<Self, ShbfError> {
-        if m == 0 {
-            return Err(ShbfError::ZeroSize("m"));
-        }
-        if k == 0 {
-            return Err(ShbfError::KZero);
-        }
-        if !k.is_multiple_of(2) {
-            return Err(ShbfError::KMustBeEven(k));
-        }
-        let max = MemoryModel::default().max_window();
-        if !(2..=max).contains(&w_bar) {
-            return Err(ShbfError::WBarOutOfRange { w_bar, max });
-        }
-        let pairs = k / 2;
-        let physical = m + w_bar - 1;
-        Ok(CShbfM {
-            counters: CounterArray::new(physical, counter_bits),
-            bits: BitArray::new(physical),
-            m,
-            k,
-            w_bar,
-            counter_bits,
-            family: QueryFamily::new(family, seed, pairs + 1),
-            master_seed: seed,
-            items: 0,
-        })
+        let filter = ShbfM::with_family(m, k, w_bar, family, seed)?;
+        let counters = CounterArray::new(filter.bits.len(), counter_bits);
+        Ok(CShbfM { filter, counters })
     }
 
     /// Logical size `m`.
     #[inline]
     pub fn m(&self) -> usize {
-        self.m
+        self.filter.m()
     }
 
     /// Nominal `k`.
     #[inline]
     pub fn k(&self) -> usize {
-        self.k
+        self.filter.k()
     }
 
     /// Offset bound `w̄`.
     #[inline]
     pub fn w_bar(&self) -> usize {
-        self.w_bar
+        self.filter.w_bar()
     }
 
     /// Counter width `z` in bits.
     #[inline]
     pub fn counter_bits(&self) -> u32 {
-        self.counter_bits
+        self.counters.width()
     }
 
     /// Net elements currently represented (inserts − deletes).
     #[inline]
     pub fn items(&self) -> u64 {
-        self.items
+        self.filter.items()
     }
 
     /// True when `w̄·z ≤ w − 7`, i.e. counter-pair updates are single-access.
     pub fn single_access_updates(&self) -> bool {
-        self.w_bar * self.counter_bits as usize <= MemoryModel::default().max_window()
-    }
-
-    #[inline]
-    fn pairs(&self) -> usize {
-        self.k / 2
-    }
-
-    #[inline]
-    fn offset_of(&self, key: &PreparedKey<'_>) -> usize {
-        pair_offset(key, self.pairs(), self.w_bar)
+        self.w_bar() * self.counter_bits() as usize <= MemoryModel::default().max_window()
     }
 
     /// Inserts an element: increments both counters of every pair and sets
     /// the mirror bits.
     pub fn insert(&mut self, item: &[u8]) {
-        let key = self.family.prepare(item);
-        let o = self.offset_of(&key);
-        for i in 0..self.pairs() {
-            let pos = shbf_hash::range_reduce(key.index(i), self.m);
-            self.counters.inc(pos);
-            self.counters.inc(pos + o);
-            self.bits.set(pos);
-            self.bits.set(pos + o);
-        }
-        self.items += 1;
+        let counters = &mut self.counters;
+        self.filter.for_each_bit(item, |bits, i| {
+            counters.inc_and_set(i, bits);
+        });
+        self.filter.items += 1;
     }
 
     /// Inserts every element of a batch through the two-stage pipeline:
     /// stage 1 hashes a [`crate::BATCH_CHUNK`]-sized chunk and prefetches
     /// the counter and mirror words, stage 2 applies the updates.
     pub fn insert_batch<T: AsRef<[u8]>>(&mut self, items: &[T]) {
-        let (pairs, w_bar) = (self.pairs(), self.w_bar);
-        let (counters, bits) = (&mut self.counters, &mut self.bits);
-        let offset = |key: &PreparedKey<'_>| pair_offset(key, pairs, w_bar);
-        let update = |step: Step<'_, usize>| match step {
-            Step::Prefetch(pos) => {
-                counters.prefetch(pos);
-                bits.prefetch(pos);
-            }
-            Step::Visit(positions, o) => {
-                for &pos in positions {
-                    counters.inc(pos);
-                    counters.inc(pos + o);
-                    bits.set(pos);
-                    bits.set(pos + o);
-                }
-            }
-        };
-        crate::pipeline(items, &self.family, self.m, pairs, offset, update);
-        self.items += items.len() as u64;
+        self.filter
+            .insert_batch_with(items, Some(&mut self.counters));
     }
 
     /// [`Self::insert`] with update-cost accounting: one counter-word write
@@ -220,8 +158,9 @@ impl CShbfM {
     /// one bit-mirror write per pair (reported separately as writes).
     pub fn insert_profiled(&mut self, item: &[u8], stats: &mut AccessStats) {
         let per_pair = if self.single_access_updates() { 1 } else { 2 };
-        stats.record_hashes(self.family.computations_for(self.pairs() + 1) as u64);
-        stats.record_writes(self.pairs() as u64 * per_pair);
+        let pairs = self.filter.pairs();
+        stats.record_hashes(self.filter.family.computations_for(pairs + 1) as u64);
+        stats.record_writes(pairs as u64 * per_pair);
         self.insert(item);
         stats.finish_op();
     }
@@ -236,24 +175,15 @@ impl CShbfM {
     /// positions is indistinguishable from a true delete (inherited CBF
     /// semantics).
     pub fn delete(&mut self, item: &[u8]) -> Result<(), ShbfError> {
-        let key = self.family.prepare(item);
-        let o = self.offset_of(&key);
-        let positions: Vec<usize> = (0..self.pairs())
-            .map(|i| shbf_hash::range_reduce(key.index(i), self.m))
-            .collect();
-        for &pos in &positions {
-            if self.counters.get(pos) == 0 || self.counters.get(pos + o) == 0 {
-                return Err(ShbfError::NotFound);
-            }
+        let mut indexes = Vec::with_capacity(self.k());
+        self.filter.for_each_bit(item, |_, i| indexes.push(i));
+        if indexes.iter().any(|&i| self.counters.get(i) == 0) {
+            return Err(ShbfError::NotFound);
         }
-        for &pos in &positions {
-            for idx in [pos, pos + o] {
-                if let Some(0) = self.counters.dec(idx) {
-                    self.bits.clear(idx);
-                }
-            }
+        for i in indexes {
+            self.counters.dec_and_clear(i, &mut self.filter.bits);
         }
-        self.items = self.items.saturating_sub(1);
+        self.filter.items = self.filter.items.saturating_sub(1);
         Ok(())
     }
 
@@ -261,101 +191,61 @@ impl CShbfM {
     /// identical cost profile to [`crate::ShbfM`]).
     #[inline]
     pub fn contains(&self, item: &[u8]) -> bool {
-        let key = self.family.prepare(item);
-        let o = self.offset_of(&key);
-        for i in 0..self.pairs() {
-            let pos = shbf_hash::range_reduce(key.index(i), self.m);
-            if !self.bits.pair_all_set(pos, o) {
-                return false;
-            }
-        }
-        true
+        self.filter.contains(item)
     }
 
     /// Queries a batch against the bit mirror, one verdict per element in
     /// order, via the prefetched two-stage pipeline (see
     /// [`crate::ShbfM::contains_batch`]).
     pub fn contains_batch<T: AsRef<[u8]>>(&self, items: &[T]) -> Vec<bool> {
-        let mut out = Vec::with_capacity(items.len());
-        self.contains_batch_into(items, &mut out);
-        out
+        self.filter.contains_batch(items)
     }
 
     /// [`Self::contains_batch`] writing into a caller-owned buffer
     /// (cleared first), sparing the reply-buffer allocation per batch.
     pub fn contains_batch_into<T: AsRef<[u8]>>(&self, items: &[T], out: &mut Vec<bool>) {
-        out.clear();
-        out.reserve(items.len());
-        let offset = |key: &PreparedKey<'_>| self.offset_of(key);
-        let update = |step: Step<'_, usize>| match step {
-            Step::Prefetch(pos) => self.bits.prefetch(pos),
-            Step::Visit(positions, o) => {
-                out.push(positions.iter().all(|&pos| self.bits.pair_all_set(pos, o)));
-            }
-        };
-        crate::pipeline(items, &self.family, self.m, self.pairs(), offset, update);
+        self.filter.contains_batch_into(items, out);
     }
 
     /// [`Self::contains`] with accounting.
     pub fn contains_profiled(&self, item: &[u8], stats: &mut AccessStats) -> bool {
-        stats.record_hashes(self.family.probe_cost(0));
-        let key = self.family.prepare(item);
-        let o = self.offset_of(&key);
-        let mut result = true;
-        for i in 0..self.pairs() {
-            stats.record_hashes(self.family.probe_cost(i + 1));
-            stats.record_reads(1);
-            let pos = shbf_hash::range_reduce(key.index(i), self.m);
-            if !self.bits.pair_all_set(pos, o) {
-                result = false;
-                break;
-            }
-        }
-        stats.finish_op();
-        result
+        self.filter.contains_profiled(item, stats)
     }
 
     /// Number of set bits in the on-chip mirror.
     pub fn count_ones(&self) -> usize {
-        self.bits.count_ones()
+        self.filter.bits.count_ones()
     }
 
     /// Physical length of the on-chip mirror in bits (`m + w̄ − 1`).
     pub fn physical_bits(&self) -> usize {
-        self.bits.len()
+        self.filter.bits.len()
     }
 
     /// Verifies that the bit mirror equals "counter nonzero" everywhere —
     /// the invariant incremental synchronization maintains. Returns the
     /// number of mismatching positions (0 when consistent).
     pub fn check_sync(&self) -> usize {
-        (0..self.bits.len())
-            .filter(|&i| self.bits.get(i) != (self.counters.get(i) != 0))
-            .count()
+        self.counters.mirror_mismatches(&self.filter.bits)
     }
 
     /// Rebuilds the bit mirror from the counters (full resynchronization, as
     /// after recovering `C` from DRAM).
     pub fn resync(&mut self) {
-        self.bits.reset();
-        for i in 0..self.counters.len() {
-            if self.counters.get(i) != 0 {
-                self.bits.set(i);
-            }
-        }
+        self.filter.bits = self.counters.mirror();
     }
 
     /// Serializes the counting filter (parameters + counters; the bit
     /// mirror is rebuilt on load, which doubles as a consistency check).
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut w = shbf_bits::Writer::new(crate::kind::CSHBF_M);
-        w.u64(self.m as u64)
-            .u64(self.k as u64)
-            .u64(self.w_bar as u64)
-            .u32(self.counter_bits)
-            .u8(self.family.kind().tag())
-            .u64(self.master_seed)
-            .u64(self.items)
+        w.u64(self.m() as u64)
+            .u64(self.k() as u64)
+            .u64(self.w_bar() as u64)
+            .u32(self.counter_bits())
+            .u8(self.filter.family_kind().tag())
+            .u64(self.filter.master_seed)
+            .u64(self.items())
             .counter_array(&self.counters);
         w.finish().to_vec()
     }
@@ -367,37 +257,23 @@ impl CShbfM {
         let k = r.u64()? as usize;
         let w_bar = r.u64()? as usize;
         let counter_bits = r.u32()?;
-        let family = FamilyKind::from_tag(r.u8()?).ok_or(ShbfError::Codec(
-            shbf_bits::CodecError::InvalidField("hash family"),
-        ))?;
+        let family =
+            FamilyKind::from_tag(r.u8()?).ok_or(CodecError::InvalidField("hash family"))?;
         let seed = r.u64()?;
         let items = r.u64()?;
         let counters = r.counter_array()?;
         r.expect_end()?;
-        let mut f = Self::with_family(m, k, w_bar, counter_bits, family, seed)?;
-        if counters.len() != f.counters.len() {
-            return Err(ShbfError::Codec(shbf_bits::CodecError::InvalidField(
-                "counter array size",
-            )));
+        let filter = ShbfM::from_bits(m, k, w_bar, family, seed, counters.mirror(), items)?;
+        if counters.width() != counter_bits {
+            return Err(CodecError::InvalidField("counter width").into());
         }
-        f.counters = counters;
-        f.items = items;
-        f.resync();
-        Ok(f)
+        Ok(CShbfM { filter, counters })
     }
 
-    /// Exports the SRAM-side array as a standalone blob compatible with
-    /// [`crate::ShbfM::from_bytes`] — the paper's "store B in SRAM for queries".
-    pub fn snapshot(&self) -> crate::ShbfM {
-        crate::ShbfM::from_parts(
-            self.m,
-            self.k,
-            self.w_bar,
-            self.master_seed,
-            self.family.clone(),
-            self.bits.clone(),
-            self.items,
-        )
+    /// Exports the SRAM-side filter — the paper's "store B in SRAM for
+    /// queries" — as a standalone [`crate::ShbfM`].
+    pub fn snapshot(&self) -> ShbfM {
+        self.filter.clone()
     }
 }
 
@@ -416,7 +292,7 @@ impl MembershipFilter for CShbfM {
 
     fn bit_size(&self) -> usize {
         // Query path size: the bit mirror (counters live "in DRAM").
-        self.bits.len()
+        self.physical_bits()
     }
 
     fn kind_name(&self) -> &'static str {
@@ -512,9 +388,9 @@ mod tests {
         for it in items(50, 2) {
             f.delete(&it).unwrap();
         }
-        let incremental = f.bits.clone();
+        let incremental = f.filter.bits.clone();
         f.resync();
-        assert_eq!(f.bits, incremental);
+        assert_eq!(f.filter.bits, incremental);
     }
 
     #[test]

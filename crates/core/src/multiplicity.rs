@@ -13,7 +13,7 @@
 //! negatives, §5.2); Eq. 27/28 give the probability it is exactly right.
 
 use shbf_bits::access::MemoryModel;
-use shbf_bits::{AccessStats, BitArray, Reader, Writer};
+use shbf_bits::{AccessStats, BitArray, CodecError, Reader, Writer};
 use shbf_hash::{FamilyKind, HashAlg, QueryFamily};
 
 use crate::error::ShbfError;
@@ -31,6 +31,8 @@ pub struct MultiplicityAnswer {
 }
 
 impl MultiplicityAnswer {
+    /// Reads the answer off a [`ShbfX::window_and`] result: bit `j` of
+    /// `mask` is candidate multiplicity `j + 1`.
     fn from_mask(mask: &[u64], c: usize) -> Self {
         let mut candidates = Vec::new();
         for j in 0..c {
@@ -63,13 +65,15 @@ impl MultiplicityAnswer {
 /// ```
 #[derive(Debug, Clone)]
 pub struct ShbfX {
-    bits: BitArray,
+    /// The bit array `B`; a [`crate::CShbfX`] or [`crate::CShbfMs`] keeps
+    /// it synced to its counters.
+    pub(crate) bits: BitArray,
     m: usize,
     k: usize,
     /// Maximum representable multiplicity (the paper's `c`; 57 in Fig. 11).
     c: usize,
-    family: QueryFamily,
-    master_seed: u64,
+    pub(crate) family: QueryFamily,
+    pub(crate) master_seed: u64,
     n_distinct: u64,
 }
 
@@ -118,13 +122,23 @@ impl ShbfX {
         Ok(filter)
     }
 
-    fn empty(
+    /// An empty filter (nothing encoded yet): the start of
+    /// [`Self::build`] and of every [`crate::CShbfX`] and
+    /// [`crate::CShbfMs`].
+    pub(crate) fn empty(
         m: usize,
         k: usize,
         c: usize,
         family: FamilyKind,
         seed: u64,
     ) -> Result<Self, ShbfError> {
+        let bits = BitArray::new(Self::physical_bits(m, k, c)?);
+        Self::from_bits(m, k, c, family, seed, bits, 0)
+    }
+
+    /// Validates the geometry and returns the physical array length
+    /// `m + c − 1`, checked so that a decoded `m` cannot wrap it.
+    pub(crate) fn physical_bits(m: usize, k: usize, c: usize) -> Result<usize, ShbfError> {
         if m == 0 {
             return Err(ShbfError::ZeroSize("m"));
         }
@@ -134,14 +148,33 @@ impl ShbfX {
         if c == 0 {
             return Err(ShbfError::ZeroSize("c"));
         }
+        m.checked_add(c - 1)
+            .ok_or(ShbfError::CapacityExceeded("array length overflows usize"))
+    }
+
+    /// Assembles a filter over `bits` once the geometry checks out against
+    /// its length: the decode path, for [`Self::from_bytes`] and for the
+    /// counting filters' mirrors rebuilt from their counters.
+    pub(crate) fn from_bits(
+        m: usize,
+        k: usize,
+        c: usize,
+        family: FamilyKind,
+        seed: u64,
+        bits: BitArray,
+        n_distinct: u64,
+    ) -> Result<Self, ShbfError> {
+        if Self::physical_bits(m, k, c)? != bits.len() {
+            return Err(CodecError::InvalidField("bit array size").into());
+        }
         Ok(ShbfX {
-            bits: BitArray::new(m + c - 1),
+            bits,
             m,
             k,
             c,
             family: QueryFamily::new(family, seed, k),
             master_seed: seed,
-            n_distinct: 0,
+            n_distinct,
         })
     }
 
@@ -152,14 +185,26 @@ impl ShbfX {
                 max: self.c as u64,
             });
         }
-        let offset = (count - 1) as usize;
+        self.for_each_shifted(item, (count - 1) as usize, |bits, i| bits.set(i));
+        self.n_distinct += 1;
+        Ok(())
+    }
+
+    /// Hands `item`'s `k` bit indexes at offset `offset` (a count − 1, or a
+    /// [`crate::CShbfMs`] set id) to `f` with the bit array: the one update
+    /// path of [`Self::build`] and of the counting filters, whose `f` runs
+    /// the counter sync rule.
+    pub(crate) fn for_each_shifted(
+        &mut self,
+        item: &[u8],
+        offset: usize,
+        mut f: impl FnMut(&mut BitArray, usize),
+    ) {
         let key = self.family.prepare(item);
         for i in 0..self.k {
             let pos = shbf_hash::range_reduce(key.index(i), self.m);
-            self.bits.set(pos + offset);
+            f(&mut self.bits, pos + offset);
         }
-        self.n_distinct += 1;
-        Ok(())
     }
 
     /// Logical size `m`.
@@ -190,7 +235,8 @@ impl ShbfX {
     /// largest surviving candidate. Short-circuits when the running AND
     /// becomes all-zero.
     pub fn query(&self, item: &[u8]) -> MultiplicityAnswer {
-        let mask = self.and_mask(item, None);
+        let mut mask = vec![0; self.c.div_ceil(64)];
+        self.probe(item, 0, &mut mask, None);
         MultiplicityAnswer::from_mask(&mask, self.c)
     }
 
@@ -206,67 +252,102 @@ impl ShbfX {
     /// [`Self::query_batch`] writing into a caller-owned buffer (cleared
     /// first), sparing the reply-buffer allocation per batch.
     pub fn query_batch_into<T: AsRef<[u8]>>(&self, items: &[T], out: &mut Vec<u64>) {
-        self.query_batch_map(items, out, |r| r);
+        self.query_batch_map(items, out, |mask| {
+            let top = mask.iter().rposition(|&word| word != 0);
+            top.map_or(0, |w| {
+                (w as u64 + 1) * 64 - u64::from(mask[w].leading_zeros())
+            })
+        });
     }
 
     /// Batched membership view: `reported > 0` per element in input order.
     pub fn contains_batch<T: AsRef<[u8]>>(&self, items: &[T]) -> Vec<bool> {
         let mut out = Vec::with_capacity(items.len());
-        self.query_batch_map(items, &mut out, |r| r > 0);
+        self.contains_batch_into(items, &mut out);
         out
     }
 
-    /// The batch pipeline, mapping each reported count through `f` as it is
-    /// produced (no intermediate count vector for the boolean view).
-    fn query_batch_map<T: AsRef<[u8]>, R>(
+    /// [`Self::contains_batch`] writing into a caller-owned buffer.
+    pub(crate) fn contains_batch_into<T: AsRef<[u8]>>(&self, items: &[T], out: &mut Vec<bool>) {
+        self.query_batch_map(items, out, |mask| mask.iter().any(|&word| word != 0));
+    }
+
+    /// The batch pipeline, mapping each key's candidate mask (see
+    /// [`Self::window_and`]) through `f` as it is produced — every batch
+    /// surface, the counting filters' included, shares this one loop.
+    pub(crate) fn query_batch_map<T: AsRef<[u8]>, R>(
         &self,
         items: &[T],
         out: &mut Vec<R>,
-        f: impl Fn(u64) -> R,
+        f: impl Fn(&[u64]) -> R,
     ) {
         out.clear();
         out.reserve(items.len());
         let window_words = self.c.div_ceil(64);
-        let mut acc = Vec::with_capacity(window_words);
+        let mut mask = vec![0; window_words];
         let probe = |step: Step<'_, ()>| match step {
             Step::Prefetch(pos) => {
                 for w in 0..window_words {
                     self.bits.prefetch(pos + w * 64);
                 }
             }
-            Step::Visit(positions, ()) => out.push(f(self.reported_at(positions, &mut acc))),
+            Step::Visit(positions, ()) => {
+                self.window_and(positions.iter().copied(), 0, &mut mask);
+                out.push(f(&mask));
+            }
         };
         crate::pipeline(items, &self.family, self.m, self.k, |_| (), probe);
     }
 
-    /// The reported multiplicity for pre-computed hash positions: AND the k
-    /// windows into `acc` (a reusable scratch buffer) and return the highest
-    /// surviving candidate.
-    fn reported_at(&self, positions: &[usize], acc: &mut Vec<u64>) -> u64 {
-        let words = self.c.div_ceil(64);
-        acc.clear();
-        acc.resize(words, u64::MAX);
-        let tail = self.c % 64;
-        if tail != 0 {
-            acc[words - 1] = (1u64 << tail) - 1;
+    /// The c-bit window AND of §5.2, the one probe every query path runs:
+    /// ANDs the `c − from`-bit windows starting `from` bits past each
+    /// position into `mask` (`⌈(c − from)/64⌉` words, reset first, the tail
+    /// masked so no candidate beyond `c` appears) and stops at the first
+    /// all-zero AND. Positions are pulled lazily, so a scalar query hashes
+    /// only what it probes. Returns whether any candidate survived.
+    pub(crate) fn window_and(
+        &self,
+        positions: impl IntoIterator<Item = usize>,
+        from: usize,
+        mask: &mut [u64],
+    ) -> bool {
+        let span = self.c - from;
+        mask.fill(u64::MAX);
+        if !span.is_multiple_of(64) {
+            mask[span / 64] = (1u64 << (span % 64)) - 1;
         }
-        for &pos in positions {
+        for pos in positions {
             let mut any = 0u64;
-            for (j, slot) in acc.iter_mut().enumerate() {
-                let width = (self.c - j * 64).min(64);
-                *slot &= self.bits.read_window(pos + j * 64, width);
+            for (j, slot) in mask.iter_mut().enumerate() {
+                let width = (span - j * 64).min(64);
+                *slot &= self.bits.read_window(pos + from + j * 64, width);
                 any |= *slot;
             }
             if any == 0 {
-                return 0;
+                return false;
             }
         }
-        for (w, word) in acc.iter().enumerate().rev() {
-            if *word != 0 {
-                return (w as u64) * 64 + 64 - u64::from(word.leading_zeros());
+        true
+    }
+
+    /// [`Self::window_and`] over `item`'s positions, hashed lazily, with
+    /// the paper's per-window costs recorded into `stats` when profiling.
+    pub(crate) fn probe(
+        &self,
+        item: &[u8],
+        from: usize,
+        mask: &mut [u64],
+        mut stats: Option<&mut AccessStats>,
+    ) -> bool {
+        let key = self.family.prepare(item);
+        let positions = (0..self.k).map(|i| {
+            if let Some(s) = stats.as_deref_mut() {
+                s.record_hashes(self.family.probe_cost(i));
+                s.record_reads(MemoryModel::default().accesses_for_window(self.c));
             }
-        }
-        0
+            shbf_hash::range_reduce(key.index(i), self.m)
+        });
+        self.window_and(positions, from, mask)
     }
 
     /// Threshold query: is the multiplicity of `item` at least `j`?
@@ -285,66 +366,17 @@ impl ShbfX {
             self.c
         );
         let from = (j - 1) as usize;
-        let span = self.c - from;
-        let words = span.div_ceil(64);
-        let mut acc = vec![u64::MAX; words];
-        let tail = span % 64;
-        if tail != 0 {
-            acc[words - 1] = (1u64 << tail) - 1;
-        }
-        let key = self.family.prepare(item);
-        for i in 0..self.k {
-            let pos = shbf_hash::range_reduce(key.index(i), self.m) + from;
-            let mut any = 0u64;
-            for (w, slot) in acc.iter_mut().enumerate() {
-                let width = (span - w * 64).min(64);
-                *slot &= self.bits.read_window(pos + w * 64, width);
-                any |= *slot;
-            }
-            if any == 0 {
-                return false;
-            }
-        }
-        true
+        let mut mask = vec![0; (self.c - from).div_ceil(64)];
+        self.probe(item, from, &mut mask, None)
     }
 
     /// [`Self::query`] with accounting: `⌈c/w⌉` reads and one hash per
     /// probed window (the paper's `k·⌈c/w⌉` worst case).
     pub fn query_profiled(&self, item: &[u8], stats: &mut AccessStats) -> MultiplicityAnswer {
-        let mask = self.and_mask(item, Some(stats));
+        let mut mask = vec![0; self.c.div_ceil(64)];
+        self.probe(item, 0, &mut mask, Some(&mut *stats));
         stats.finish_op();
         MultiplicityAnswer::from_mask(&mask, self.c)
-    }
-
-    /// The AND of the k c-bit windows at `item`'s hash positions.
-    fn and_mask(&self, item: &[u8], mut stats: Option<&mut AccessStats>) -> Vec<u64> {
-        let words = self.c.div_ceil(64);
-        let model = MemoryModel::default();
-        let mut acc = vec![u64::MAX; words];
-        // Mask the tail so candidates beyond c never appear.
-        let tail = self.c % 64;
-        if tail != 0 {
-            acc[words - 1] = (1u64 << tail) - 1;
-        }
-        let key = self.family.prepare(item);
-        for i in 0..self.k {
-            if let Some(s) = stats.as_deref_mut() {
-                s.record_hashes(self.family.probe_cost(i));
-                s.record_reads(model.accesses_for_window(self.c));
-            }
-            let pos = shbf_hash::range_reduce(key.index(i), self.m);
-            let mut any = 0u64;
-            for (j, slot) in acc.iter_mut().enumerate() {
-                let width = (self.c - j * 64).min(64);
-                let win = self.bits.read_window(pos + j * 64, width);
-                *slot &= win;
-                any |= *slot;
-            }
-            if any == 0 {
-                return acc; // provably absent; remaining hashes unneeded
-            }
-        }
-        acc
     }
 
     /// Serializes the filter.
@@ -366,22 +398,13 @@ impl ShbfX {
         let m = r.u64()? as usize;
         let k = r.u64()? as usize;
         let c = r.u64()? as usize;
-        let family = FamilyKind::from_tag(r.u8()?).ok_or(ShbfError::Codec(
-            shbf_bits::CodecError::InvalidField("hash family"),
-        ))?;
+        let family =
+            FamilyKind::from_tag(r.u8()?).ok_or(CodecError::InvalidField("hash family"))?;
         let seed = r.u64()?;
         let n_distinct = r.u64()?;
         let bits = r.bit_array()?;
         r.expect_end()?;
-        let mut f = Self::empty(m, k, c, family, seed)?;
-        if bits.len() != f.bits.len() {
-            return Err(ShbfError::Codec(shbf_bits::CodecError::InvalidField(
-                "bit array size",
-            )));
-        }
-        f.bits = bits;
-        f.n_distinct = n_distinct;
-        Ok(f)
+        Self::from_bits(m, k, c, family, seed, bits, n_distinct)
     }
 }
 

@@ -13,17 +13,17 @@
 //!   table of exact counts; `z` is always correct and the structure stays
 //!   false-negative-free.
 //!
-//! Both policies maintain the counter array (off-chip `C`) and the bit
-//! mirror (on-chip `B`) exactly as Fig. 5 describes.
+//! Both policies maintain the counter array (off-chip `C`) beside a
+//! [`crate::ShbfX`] whose bit array (on-chip `B`) answers every query,
+//! exactly as Fig. 5 describes.
 
-use shbf_bits::{AccessStats, BitArray, CounterArray};
+use shbf_bits::{AccessStats, CodecError, CounterArray};
 use shbf_hash::fnv::FnvHashMap;
-use shbf_hash::{FamilyKind, HashAlg, QueryFamily};
+use shbf_hash::{FamilyKind, HashAlg};
 
 use crate::error::ShbfError;
-use crate::multiplicity::MultiplicityAnswer;
+use crate::multiplicity::{MultiplicityAnswer, ShbfX};
 use crate::traits::CountEstimator;
-use crate::Step;
 
 /// How [`CShbfX`] determines an element's current multiplicity on update.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -48,15 +48,12 @@ pub enum UpdatePolicy {
 /// ```
 #[derive(Debug, Clone)]
 pub struct CShbfX {
+    /// On-chip filter (query path); its bit array mirrors the counters.
+    filter: ShbfX,
+    /// Off-chip counters (update path).
     counters: CounterArray,
-    bits: BitArray,
     table: FnvHashMap<Vec<u8>, u64>,
     policy: UpdatePolicy,
-    m: usize,
-    k: usize,
-    c: usize,
-    family: QueryFamily,
-    master_seed: u64,
 }
 
 impl CShbfX {
@@ -90,26 +87,13 @@ impl CShbfX {
         family: FamilyKind,
         seed: u64,
     ) -> Result<Self, ShbfError> {
-        if m == 0 {
-            return Err(ShbfError::ZeroSize("m"));
-        }
-        if k == 0 {
-            return Err(ShbfError::KZero);
-        }
-        if c == 0 {
-            return Err(ShbfError::ZeroSize("c"));
-        }
-        let physical = m + c - 1;
+        let filter = ShbfX::empty(m, k, c, family, seed)?;
+        let counters = CounterArray::new(filter.bits.len(), counter_bits);
         Ok(CShbfX {
-            counters: CounterArray::new(physical, counter_bits),
-            bits: BitArray::new(physical),
+            filter,
+            counters,
             table: FnvHashMap::default(),
             policy,
-            m,
-            k,
-            c,
-            family: QueryFamily::new(family, seed, k),
-            master_seed: seed,
         })
     }
 
@@ -122,7 +106,7 @@ impl CShbfX {
     /// Maximum multiplicity `c`.
     #[inline]
     pub fn c(&self) -> usize {
-        self.c
+        self.filter.c()
     }
 
     /// Number of distinct elements tracked (exact-table policy only; 0
@@ -153,26 +137,21 @@ impl CShbfX {
     /// Encodes multiplicity `z` (1-based): increments counters and sets bits
     /// at `h_i + z − 1`.
     fn encode(&mut self, item: &[u8], z: u64) {
-        let off = (z - 1) as usize;
-        let key = self.family.prepare(item);
-        for i in 0..self.k {
-            let idx = shbf_hash::range_reduce(key.index(i), self.m) + off;
-            self.counters.inc(idx);
-            self.bits.set(idx);
-        }
+        let counters = &mut self.counters;
+        self.filter
+            .for_each_shifted(item, (z - 1) as usize, |bits, i| {
+                counters.inc_and_set(i, bits);
+            });
     }
 
     /// Removes the encoding of multiplicity `z`: decrements counters, clears
     /// bits whose counter reaches 0 (Fig. 5, steps 2–3).
     fn unencode(&mut self, item: &[u8], z: u64) {
-        let off = (z - 1) as usize;
-        let key = self.family.prepare(item);
-        for i in 0..self.k {
-            let idx = shbf_hash::range_reduce(key.index(i), self.m) + off;
-            if let Some(0) = self.counters.dec(idx) {
-                self.bits.clear(idx);
-            }
-        }
+        let counters = &mut self.counters;
+        self.filter
+            .for_each_shifted(item, (z - 1) as usize, |bits, i| {
+                counters.dec_and_clear(i, bits);
+            });
     }
 
     /// Inserts one occurrence of `item`; returns the new multiplicity.
@@ -181,10 +160,10 @@ impl CShbfX {
     /// multiplicity `c`.
     pub fn insert(&mut self, item: &[u8]) -> Result<u64, ShbfError> {
         let z = self.current_count(item);
-        if z >= self.c as u64 {
+        if z >= self.c() as u64 {
             return Err(ShbfError::CountOutOfRange {
                 count: z + 1,
-                max: self.c as u64,
+                max: self.c() as u64,
             });
         }
         if z > 0 {
@@ -222,104 +201,35 @@ impl CShbfX {
     /// Multiplicity query against the on-chip bit mirror — same semantics as
     /// [`crate::ShbfX::query`].
     pub fn query(&self, item: &[u8]) -> MultiplicityAnswer {
-        let words = self.c.div_ceil(64);
-        let mut acc = vec![u64::MAX; words];
-        let tail = self.c % 64;
-        if tail != 0 {
-            acc[words - 1] = (1u64 << tail) - 1;
-        }
-        let key = self.family.prepare(item);
-        for i in 0..self.k {
-            let pos = shbf_hash::range_reduce(key.index(i), self.m);
-            let mut any = 0u64;
-            for (j, slot) in acc.iter_mut().enumerate() {
-                let width = (self.c - j * 64).min(64);
-                let win = self.bits.read_window(pos + j * 64, width);
-                *slot &= win;
-                any |= *slot;
-            }
-            if any == 0 {
-                break;
-            }
-        }
-        let mut candidates = Vec::new();
-        for j in 0..self.c {
-            if (acc[j / 64] >> (j % 64)) & 1 == 1 {
-                candidates.push(j as u64 + 1);
-            }
-        }
-        let reported = candidates.last().copied().unwrap_or(0);
-        MultiplicityAnswer {
-            candidates,
-            reported,
-        }
+        self.filter.query(item)
     }
 
     /// Batched membership view against the bit mirror (`reported > 0` per
     /// element, in input order) via the prefetched two-stage pipeline — the
     /// server's `MQUERY` path for multiplicity namespaces.
     pub fn contains_batch<T: AsRef<[u8]>>(&self, items: &[T]) -> Vec<bool> {
-        let mut out = Vec::with_capacity(items.len());
-        self.contains_batch_into(items, &mut out);
-        out
+        self.filter.contains_batch(items)
     }
 
     /// [`Self::contains_batch`] writing into a caller-owned buffer (cleared
     /// first), sparing the reply-buffer allocation per batch.
     pub fn contains_batch_into<T: AsRef<[u8]>>(&self, items: &[T], out: &mut Vec<bool>) {
-        out.clear();
-        out.reserve(items.len());
-        let window_words = self.c.div_ceil(64);
-        let mut acc = vec![0u64; window_words];
-        let probe = |step: Step<'_, ()>| match step {
-            Step::Prefetch(pos) => {
-                for w in 0..window_words {
-                    self.bits.prefetch(pos + w * 64);
-                }
-            }
-            Step::Visit(positions, ()) => out.push(self.any_candidate_at(positions, &mut acc)),
-        };
-        crate::pipeline(items, &self.family, self.m, self.k, |_| (), probe);
-    }
-
-    /// True iff ANDing the k windows at the given positions leaves any
-    /// candidate alive (`acc` is reusable scratch).
-    fn any_candidate_at(&self, positions: &[usize], acc: &mut [u64]) -> bool {
-        let words = self.c.div_ceil(64);
-        acc[..words].fill(u64::MAX);
-        let tail = self.c % 64;
-        if tail != 0 {
-            acc[words - 1] = (1u64 << tail) - 1;
-        }
-        for &pos in positions {
-            let mut any = 0u64;
-            for (j, slot) in acc[..words].iter_mut().enumerate() {
-                let width = (self.c - j * 64).min(64);
-                *slot &= self.bits.read_window(pos + j * 64, width);
-                any |= *slot;
-            }
-            if any == 0 {
-                return false;
-            }
-        }
-        true
+        self.filter.contains_batch_into(items, out);
     }
 
     /// Number of set bits in the on-chip mirror.
     pub fn count_ones(&self) -> usize {
-        self.bits.count_ones()
+        self.filter.bits.count_ones()
     }
 
     /// Physical length of the on-chip mirror in bits (`m + c − 1`).
     pub fn physical_bits(&self) -> usize {
-        self.bits.len()
+        self.filter.bits.len()
     }
 
     /// Consistency check between bit mirror and counters.
     pub fn check_sync(&self) -> usize {
-        (0..self.bits.len())
-            .filter(|&i| self.bits.get(i) != (self.counters.get(i) != 0))
-            .count()
+        self.counters.mirror_mismatches(&self.filter.bits)
     }
 
     /// Serializes the filter: parameters, counters, and — under the
@@ -327,15 +237,15 @@ impl CShbfX {
     /// The bit mirror is rebuilt on load.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut w = shbf_bits::Writer::new(CSHBF_X_KIND);
-        w.u64(self.m as u64)
-            .u64(self.k as u64)
-            .u64(self.c as u64)
+        w.u64(self.filter.m() as u64)
+            .u64(self.filter.k() as u64)
+            .u64(self.c() as u64)
             .u8(match self.policy {
                 UpdatePolicy::FilterDerived => 0,
                 UpdatePolicy::ExactTable => 1,
             })
-            .u8(self.family.kind().tag())
-            .u64(self.master_seed)
+            .u8(self.filter.family.kind().tag())
+            .u64(self.filter.master_seed)
             .counter_array(&self.counters)
             .u64(self.table.len() as u64);
         // Deterministic order so equal filters serialize identically.
@@ -356,15 +266,10 @@ impl CShbfX {
         let policy = match r.u8()? {
             0 => UpdatePolicy::FilterDerived,
             1 => UpdatePolicy::ExactTable,
-            _ => {
-                return Err(ShbfError::Codec(shbf_bits::CodecError::InvalidField(
-                    "policy",
-                )))
-            }
+            _ => return Err(CodecError::InvalidField("policy").into()),
         };
-        let family = FamilyKind::from_tag(r.u8()?).ok_or(ShbfError::Codec(
-            shbf_bits::CodecError::InvalidField("hash family"),
-        ))?;
+        let family =
+            FamilyKind::from_tag(r.u8()?).ok_or(CodecError::InvalidField("hash family"))?;
         let seed = r.u64()?;
         let counters = r.counter_array()?;
         let entries = r.u64()? as usize;
@@ -373,28 +278,17 @@ impl CShbfX {
             let key = r.bytes()?;
             let count = r.u64()?;
             if count == 0 || count > c as u64 {
-                return Err(ShbfError::Codec(shbf_bits::CodecError::InvalidField(
-                    "table count",
-                )));
+                return Err(CodecError::InvalidField("table count").into());
             }
             table.insert(key, count);
         }
         r.expect_end()?;
-        let mut f = Self::with_family(m, k, c, policy, counters.width(), family, seed)?;
-        if counters.len() != f.counters.len() {
-            return Err(ShbfError::Codec(shbf_bits::CodecError::InvalidField(
-                "counter array size",
-            )));
-        }
-        f.counters = counters;
-        f.table = table;
-        // Rebuild the on-chip mirror from the counters.
-        for i in 0..f.counters.len() {
-            if f.counters.get(i) != 0 {
-                f.bits.set(i);
-            }
-        }
-        Ok(f)
+        Ok(CShbfX {
+            filter: ShbfX::from_bits(m, k, c, family, seed, counters.mirror(), 0)?,
+            counters,
+            table,
+            policy,
+        })
     }
 }
 
@@ -407,15 +301,11 @@ impl CountEstimator for CShbfX {
     }
 
     fn estimate_profiled(&self, item: &[u8], stats: &mut AccessStats) -> u64 {
-        let model = shbf_bits::access::MemoryModel::default();
-        stats.record_hashes(self.k as u64);
-        stats.record_reads(self.k as u64 * model.accesses_for_window(self.c));
-        stats.finish_op();
-        self.query(item).reported
+        self.filter.query_profiled(item, stats).reported
     }
 
     fn bit_size(&self) -> usize {
-        self.bits.len()
+        self.physical_bits()
     }
 
     fn kind_name(&self) -> &'static str {
@@ -502,9 +392,10 @@ mod tests {
         }
         let nonzero = f.counters.count_nonzero();
         assert_eq!(
-            nonzero, f.k,
+            nonzero,
+            f.filter.k(),
             "expected k = {} nonzero counters, got {nonzero}",
-            f.k
+            f.filter.k()
         );
     }
 

@@ -11,19 +11,21 @@
 //! most two machine words (Calderoni et al.'s multi-set assessment studies
 //! this same direct-offset construction; see PAPERS.md).
 //!
-//! Like the other counting variants, the DRAM-side [`CounterArray`] makes
-//! deletion safe while the SRAM-side [`BitArray`] mirror serves queries.
+//! That is ShBF_× (§5) bit for bit with `c = N` and the set id in place of
+//! `count − 1`, so the query side is a [`crate::ShbfX`] window. Like the
+//! other counting variants, a DRAM-side [`CounterArray`] beside it makes
+//! deletion safe while the window's bit array serves queries.
 //! An authoritative table of per-key set masks keeps inserts idempotent
 //! (these are sets, not bags) and rejects deletes of absent pairs, the
 //! same role T1/T2 play for [`crate::CShbfA`].
 
 use shbf_bits::access::MemoryModel;
-use shbf_bits::{BitArray, CounterArray};
+use shbf_bits::{CodecError, CounterArray};
 use shbf_hash::fnv::FnvHashMap;
-use shbf_hash::{FamilyKind, HashAlg, QueryFamily};
+use shbf_hash::{FamilyKind, HashAlg};
 
 use crate::error::ShbfError;
-use crate::Step;
+use crate::multiplicity::ShbfX;
 
 /// Serialization kind tag (core tags 1–8 are claimed in-crate, the
 /// sharded wrapper takes 9; the multi-set filter claims 10).
@@ -33,18 +35,16 @@ const CSHBF_MS_KIND: u16 = 10;
 /// set ids in a single filter.
 #[derive(Debug, Clone)]
 pub struct CShbfMs {
+    /// SRAM-side window (query path): a ShBF_× with `c = sets`, whose bit
+    /// array mirrors the counters.
+    window: ShbfX,
+    /// DRAM-side counters (update path).
     counters: CounterArray,
-    bits: BitArray,
     /// Authoritative per-key membership masks (bit `j` ⇔ key ∈ set `j`).
     table: FnvHashMap<Vec<u8>, u64>,
     /// Net (key, set) memberships — kept incrementally so stats don't
     /// walk the table.
     pairs: u64,
-    m: usize,
-    k: usize,
-    sets: usize,
-    family: QueryFamily,
-    master_seed: u64,
 }
 
 impl CShbfMs {
@@ -64,34 +64,32 @@ impl CShbfMs {
         family: FamilyKind,
         seed: u64,
     ) -> Result<Self, ShbfError> {
-        if m == 0 {
-            return Err(ShbfError::ZeroSize("m"));
-        }
-        if k == 0 {
-            return Err(ShbfError::KZero);
-        }
+        Self::validate_sets(m, k, sets)?;
+        let window = ShbfX::empty(m, k, sets, family, seed)?;
+        let counters = CounterArray::new(window.bits.len(), counter_bits);
+        Ok(CShbfMs {
+            window,
+            counters,
+            table: FnvHashMap::default(),
+            pairs: 0,
+        })
+    }
+
+    /// Bounds `sets` by the single-access window `[2, w̄]`, after the `m`
+    /// and `k` checks, which take precedence.
+    fn validate_sets(m: usize, k: usize, sets: usize) -> Result<(), ShbfError> {
+        ShbfX::physical_bits(m, k, 1)?;
         let max = MemoryModel::default().max_window();
         if !(2..=max).contains(&sets) {
             return Err(ShbfError::WBarOutOfRange { w_bar: sets, max });
         }
-        let physical = m + sets - 1;
-        Ok(CShbfMs {
-            counters: CounterArray::new(physical, counter_bits),
-            bits: BitArray::new(physical),
-            table: FnvHashMap::default(),
-            pairs: 0,
-            m,
-            k,
-            sets,
-            family: QueryFamily::new(family, seed, k),
-            master_seed: seed,
-        })
+        Ok(())
     }
 
     /// Number of sets this filter distinguishes.
     #[inline]
     pub fn sets(&self) -> usize {
-        self.sets
+        self.window.c()
     }
 
     /// Number of distinct keys present in at least one set.
@@ -104,42 +102,31 @@ impl CShbfMs {
         self.pairs
     }
 
-    fn encode(&mut self, item: &[u8], set: usize) {
-        let key = self.family.prepare(item);
-        for i in 0..self.k {
-            let idx = shbf_hash::range_reduce(key.index(i), self.m) + set;
-            self.counters.inc(idx);
-            self.bits.set(idx);
+    fn validate_set_id(&self, set: usize) -> Result<(), ShbfError> {
+        if set >= self.sets() {
+            return Err(ShbfError::WBarOutOfRange {
+                w_bar: set,
+                max: self.sets() - 1,
+            });
         }
-    }
-
-    fn unencode(&mut self, item: &[u8], set: usize) {
-        let key = self.family.prepare(item);
-        for i in 0..self.k {
-            let idx = shbf_hash::range_reduce(key.index(i), self.m) + set;
-            if let Some(0) = self.counters.dec(idx) {
-                self.bits.clear(idx);
-            }
-        }
+        Ok(())
     }
 
     /// Inserts `item` into set `set` (idempotent). Returns `true` when the
     /// (key, set) pair is new, `false` when it was already a member. Errors
     /// when `set` is not one of this filter's `0..sets` ids.
     pub fn insert(&mut self, item: &[u8], set: usize) -> Result<bool, ShbfError> {
-        if set >= self.sets {
-            return Err(ShbfError::WBarOutOfRange {
-                w_bar: set,
-                max: self.sets - 1,
-            });
-        }
+        self.validate_set_id(set)?;
         let mask = self.table.entry(item.to_vec()).or_insert(0);
         if *mask & (1 << set) != 0 {
             return Ok(false);
         }
         *mask |= 1 << set;
         self.pairs += 1;
-        self.encode(item, set);
+        let counters = &mut self.counters;
+        self.window.for_each_shifted(item, set, |bits, i| {
+            counters.inc_and_set(i, bits);
+        });
         Ok(true)
     }
 
@@ -147,12 +134,7 @@ impl CShbfMs {
     /// membership mask (0 = gone from every set). Errors with
     /// [`ShbfError::NotFound`] if the pair was not a member.
     pub fn remove(&mut self, item: &[u8], set: usize) -> Result<u64, ShbfError> {
-        if set >= self.sets {
-            return Err(ShbfError::WBarOutOfRange {
-                w_bar: set,
-                max: self.sets - 1,
-            });
-        }
+        self.validate_set_id(set)?;
         let Some(mask) = self.table.get_mut(item) else {
             return Err(ShbfError::NotFound);
         };
@@ -165,7 +147,10 @@ impl CShbfMs {
             self.table.remove(item);
         }
         self.pairs -= 1;
-        self.unencode(item, set);
+        let counters = &mut self.counters;
+        self.window.for_each_shifted(item, set, |bits, i| {
+            counters.dec_and_clear(i, bits);
+        });
         Ok(remaining)
     }
 
@@ -173,26 +158,9 @@ impl CShbfMs {
     /// is set iff `item` is *possibly* in set `j` (no false negatives;
     /// per-set false positives at the usual Bloom rate).
     pub fn query(&self, item: &[u8]) -> u64 {
-        let key = self.family.prepare(item);
-        self.mask_at((0..self.k).map(|i| shbf_hash::range_reduce(key.index(i), self.m)))
-    }
-
-    /// ANDs the `sets`-bit windows at `positions`, stopping at the first
-    /// empty AND. Positions are pulled lazily, so a scalar query hashes
-    /// only the positions it probes.
-    fn mask_at(&self, positions: impl IntoIterator<Item = usize>) -> u64 {
-        let mut mask = if self.sets == 64 {
-            u64::MAX
-        } else {
-            (1u64 << self.sets) - 1
-        };
-        for pos in positions {
-            mask &= self.bits.read_window(pos, self.sets);
-            if mask == 0 {
-                break;
-            }
-        }
-        mask
+        let mut mask = [0];
+        self.window.probe(item, 0, &mut mask, None);
+        mask[0]
     }
 
     /// Batched candidate-set queries, one mask per item in input order,
@@ -207,59 +175,40 @@ impl CShbfMs {
     /// first): stage 1 hashes a chunk and prefetches every probe word,
     /// stage 2 ANDs the windows, so probe cache misses overlap.
     pub fn query_batch_into<T: AsRef<[u8]>>(&self, items: &[T], out: &mut Vec<u64>) {
-        self.query_batch_map(items, out, |mask| mask);
+        self.window.query_batch_map(items, out, |mask| mask[0]);
     }
 
     /// Batched membership view: true iff the item is possibly in *any*
     /// set — the server's `MQUERY` path for multiset namespaces.
     pub fn contains_batch_into<T: AsRef<[u8]>>(&self, items: &[T], out: &mut Vec<bool>) {
-        self.query_batch_map(items, out, |mask| mask != 0);
-    }
-
-    /// The batch pipeline, mapping each mask through `f` as it is produced
-    /// (no intermediate mask vector for the boolean view).
-    fn query_batch_map<T: AsRef<[u8]>, R>(
-        &self,
-        items: &[T],
-        out: &mut Vec<R>,
-        f: impl Fn(u64) -> R,
-    ) {
-        out.clear();
-        out.reserve(items.len());
-        let probe = |step: Step<'_, ()>| match step {
-            Step::Prefetch(pos) => self.bits.prefetch(pos),
-            Step::Visit(positions, ()) => out.push(f(self.mask_at(positions.iter().copied()))),
-        };
-        crate::pipeline(items, &self.family, self.m, self.k, |_| (), probe);
+        self.window.contains_batch_into(items, out);
     }
 
     /// Number of set bits in the on-chip mirror.
     pub fn count_ones(&self) -> usize {
-        self.bits.count_ones()
+        self.window.bits.count_ones()
     }
 
     /// Physical length of the on-chip mirror in bits.
     pub fn physical_bits(&self) -> usize {
-        self.bits.len()
+        self.window.bits.len()
     }
 
     /// Consistency check: bit mirror must equal "counter nonzero".
     pub fn check_sync(&self) -> usize {
-        (0..self.bits.len())
-            .filter(|&i| self.bits.get(i) != (self.counters.get(i) != 0))
-            .count()
+        self.counters.mirror_mismatches(&self.window.bits)
     }
 
     /// Serializes the filter: parameters, counters, and the authoritative
     /// mask table (the bit mirror is rebuilt on load).
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut w = shbf_bits::Writer::new(CSHBF_MS_KIND);
-        w.u64(self.m as u64)
-            .u64(self.k as u64)
-            .u64(self.sets as u64)
+        w.u64(self.window.m() as u64)
+            .u64(self.window.k() as u64)
+            .u64(self.sets() as u64)
             .u32(self.counters.width())
-            .u8(self.family.kind().tag())
-            .u64(self.master_seed)
+            .u8(self.window.family.kind().tag())
+            .u64(self.window.master_seed)
             .counter_array(&self.counters);
         // Sort for a canonical encoding: equal filters serialize
         // identically regardless of hash-map iteration order.
@@ -280,41 +229,33 @@ impl CShbfMs {
         let k = r.u64()? as usize;
         let sets = r.u64()? as usize;
         let counter_bits = r.u32()?;
-        let family = FamilyKind::from_tag(r.u8()?).ok_or(ShbfError::Codec(
-            shbf_bits::CodecError::InvalidField("hash family"),
-        ))?;
+        let family =
+            FamilyKind::from_tag(r.u8()?).ok_or(CodecError::InvalidField("hash family"))?;
         let seed = r.u64()?;
         let counters = r.counter_array()?;
-        let mut f = Self::with_family(m, k, sets, counter_bits, family, seed)?;
-        if counters.len() != f.counters.len() {
-            return Err(ShbfError::Codec(shbf_bits::CodecError::InvalidField(
-                "counter array size",
-            )));
+        Self::validate_sets(m, k, sets)?;
+        let window = ShbfX::from_bits(m, k, sets, family, seed, counters.mirror(), 0)?;
+        if counters.width() != counter_bits {
+            return Err(CodecError::InvalidField("counter width").into());
         }
-        let len = r.u64()? as usize;
-        let valid = if sets == 64 {
-            u64::MAX
-        } else {
-            (1u64 << sets) - 1
+        let mut f = CShbfMs {
+            window,
+            counters,
+            table: FnvHashMap::default(),
+            pairs: 0,
         };
+        let len = r.u64()? as usize;
+        let valid = u64::MAX >> (64 - sets);
         for _ in 0..len {
             let key = r.bytes()?;
             let mask = r.u64()?;
             if mask == 0 || mask & !valid != 0 {
-                return Err(ShbfError::Codec(shbf_bits::CodecError::InvalidField(
-                    "set mask",
-                )));
+                return Err(CodecError::InvalidField("set mask").into());
             }
             f.pairs += u64::from(mask.count_ones());
             f.table.insert(key, mask);
         }
         r.expect_end()?;
-        f.counters = counters;
-        for i in 0..f.counters.len() {
-            if f.counters.get(i) != 0 {
-                f.bits.set(i);
-            }
-        }
         Ok(f)
     }
 }

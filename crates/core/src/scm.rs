@@ -10,7 +10,7 @@
 //! the paper's point is halving hashes/accesses, not changing the estimator.
 
 use shbf_bits::access::MemoryModel;
-use shbf_bits::{AccessStats, CounterArray, Reader, Writer};
+use shbf_bits::{AccessStats, CodecError, CounterArray, Reader, Writer};
 use shbf_hash::{HashAlg, HashFamily, SeededFamily};
 
 use crate::error::ShbfError;
@@ -63,32 +63,58 @@ impl ScmSketch {
         alg: HashAlg,
         seed: u64,
     ) -> Result<Self, ShbfError> {
+        let counters = CounterArray::new(Self::counter_count(d, r, counter_bits)?, counter_bits);
+        Self::from_counters(d, r, alg, seed, counters, 0)
+    }
+
+    /// Validates the shape and returns the counter count
+    /// `(d/2)·(2r + w̄ − 1)`, checked so that decoded sizes cannot wrap it.
+    fn counter_count(d: usize, r: usize, counter_bits: u32) -> Result<usize, ShbfError> {
         if d == 0 || r == 0 {
             return Err(ShbfError::ZeroSize("d/r"));
         }
         if !d.is_multiple_of(2) {
             return Err(ShbfError::KMustBeEven(d));
         }
-        let w_slots = MemoryModel::default().max_window() / counter_bits as usize;
+        let max = MemoryModel::default().max_window();
+        let w_slots = max.checked_div(counter_bits as usize).unwrap_or(0);
         if w_slots < 2 {
             return Err(ShbfError::WBarOutOfRange {
                 w_bar: w_slots,
-                max: MemoryModel::default().max_window(),
+                max,
             });
         }
+        r.checked_mul(2)
+            .and_then(|cols| cols.checked_add(w_slots - 1))
+            .and_then(|padded| padded.checked_mul(d / 2))
+            .ok_or(ShbfError::CapacityExceeded("array length overflows usize"))
+    }
+
+    /// Assembles a sketch over `counters` once the shape checks out against
+    /// their length and width (the decode path).
+    fn from_counters(
+        d: usize,
+        r: usize,
+        alg: HashAlg,
+        seed: u64,
+        counters: CounterArray,
+        items: u64,
+    ) -> Result<Self, ShbfError> {
+        let counter_bits = counters.width();
+        if Self::counter_count(d, r, counter_bits)? != counters.len() {
+            return Err(CodecError::InvalidField("counter array shape").into());
+        }
         let rows = d / 2;
-        let cols = 2 * r;
-        let padded = cols + w_slots - 1;
         Ok(ScmSketch {
-            counters: CounterArray::new(rows * padded, counter_bits),
+            counters,
             rows,
-            cols,
-            w_slots,
+            cols: 2 * r,
+            w_slots: MemoryModel::default().max_window() / counter_bits as usize,
             counter_bits,
             family: SeededFamily::new(alg, seed, rows + 1),
             alg,
             master_seed: seed,
-            items: 0,
+            items,
         })
     }
 
@@ -184,22 +210,15 @@ impl ScmSketch {
         let d = r.u64()? as usize;
         let cm_r = r.u64()? as usize;
         let counter_bits = r.u32()?;
-        let alg = HashAlg::from_tag(r.u8()?).ok_or(ShbfError::Codec(
-            shbf_bits::CodecError::InvalidField("hash alg"),
-        ))?;
+        let alg = HashAlg::from_tag(r.u8()?).ok_or(CodecError::InvalidField("hash alg"))?;
         let seed = r.u64()?;
         let items = r.u64()?;
         let counters = r.counter_array()?;
         r.expect_end()?;
-        let mut s = Self::with_config(d, cm_r, counter_bits, alg, seed)?;
-        if counters.len() != s.counters.len() || counters.width() != s.counters.width() {
-            return Err(ShbfError::Codec(shbf_bits::CodecError::InvalidField(
-                "counter array shape",
-            )));
+        if counters.width() != counter_bits {
+            return Err(CodecError::InvalidField("counter array shape").into());
         }
-        s.counters = counters;
-        s.items = items;
-        Ok(s)
+        Self::from_counters(d, cm_r, alg, seed, counters, items)
     }
 }
 

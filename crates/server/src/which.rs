@@ -113,15 +113,12 @@ impl Summary {
     /// the common insert allocates nothing.
     pub fn note_insert(&self, key: &[u8]) -> Vec<usize> {
         let positions = summary_positions(key);
-        let mut inner = self.inner.lock();
-        let mut newly = Vec::new();
-        for &p in &positions {
-            if inner.counters.inc(p) == 1 {
-                inner.bits.set(p);
-                newly.push(p);
-            }
-        }
-        newly
+        let mut guard = self.inner.lock();
+        let inner = &mut *guard;
+        positions
+            .into_iter()
+            .filter(|&p| inner.counters.inc_and_set(p, &mut inner.bits) == 1)
+            .collect()
     }
 
     /// Records one removed key; returns the positions whose counters hit
@@ -129,20 +126,24 @@ impl Summary {
     /// a stale bit is the worst outcome.
     pub fn note_remove(&self, key: &[u8]) -> Vec<usize> {
         let positions = summary_positions(key);
-        let mut inner = self.inner.lock();
-        let mut cleared = Vec::new();
-        for &p in &positions {
-            if inner.counters.dec(p) == Some(0) {
-                inner.bits.clear(p);
-                cleared.push(p);
-            }
-        }
-        cleared
+        let mut guard = self.inner.lock();
+        let inner = &mut *guard;
+        positions
+            .into_iter()
+            .filter(|&p| inner.counters.dec_and_clear(p, &mut inner.bits) == Some(0))
+            .collect()
     }
 
     /// A copy of the bit mirror (tree rebuilds).
     pub fn bits_snapshot(&self) -> BitArray {
         self.inner.lock().bits.clone()
+    }
+
+    /// Positions where the bit mirror disagrees with "counter nonzero"
+    /// (0 when in sync).
+    pub fn check_sync(&self) -> usize {
+        let inner = self.inner.lock();
+        inner.counters.mirror_mismatches(&inner.bits)
     }
 
     /// Serializes the counters (the mirror is rebuilt on load).
@@ -161,12 +162,7 @@ impl Summary {
         if counters.len() != SUMMARY_BITS || counters.width() != SUMMARY_COUNTER_BITS {
             return Err(shbf_bits::CodecError::InvalidField("summary geometry"));
         }
-        let mut bits = BitArray::new(SUMMARY_BITS);
-        for i in 0..SUMMARY_BITS {
-            if counters.get(i) != 0 {
-                bits.set(i);
-            }
-        }
+        let bits = counters.mirror();
         Ok(Summary {
             inner: Mutex::new(SummaryInner { counters, bits }),
         })

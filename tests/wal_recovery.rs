@@ -421,3 +421,65 @@ fn hostile_snapshot_counts_are_refused_and_the_server_keeps_serving() {
     handle.shutdown().unwrap();
     std::fs::remove_dir_all(&data_dir).ok();
 }
+
+#[test]
+fn wrapping_snapshot_geometry_is_refused_and_the_server_keeps_serving() {
+    // A CRC-valid shbf-m shard declaring m = 2^64 − 2 and w̄ = 14. Computed
+    // unchecked, its physical length m + w̄ − 1 wraps to 11, which matches
+    // the 11 counters it carries: a release build once loaded it and then
+    // panicked on the next QUERY. It must be refused, and the namespace it
+    // would have replaced must keep serving.
+    use shbf::bits::{CounterArray, Writer};
+    use shbf::hash::{FamilyKind, HashAlg};
+    use shbf::server::snapshot::SNAPSHOT_KIND;
+    use shbf::server::which::Summary;
+    const SHARDED_KIND: u16 = 9;
+    let data_dir = temp_dir("wrapping-geometry");
+    let mut shard = Writer::new(shbf::core::kind::CSHBF_M);
+    shard
+        .u64(u64::MAX - 1)
+        .u64(8)
+        .u64(14)
+        .u32(4)
+        .u8(FamilyKind::Seeded(HashAlg::Murmur3).tag())
+        .u64(7)
+        .u64(0)
+        .counter_array(&CounterArray::new(11, 4));
+    let mut sharded = Writer::new(SHARDED_KIND);
+    sharded.u64(7).u64(1).bytes(&shard.finish());
+    let mut snapshot = Writer::new(SNAPSHOT_KIND);
+    snapshot
+        .u64(1)
+        .bytes(b"flows")
+        .u8(1)
+        .bytes(&sharded.finish())
+        .u64(0)
+        .u64(0)
+        .u64(0)
+        .u64(0)
+        .bytes(&Summary::new().to_bytes());
+    std::fs::write(data_dir.join("wrapping.snap"), snapshot.finish()).unwrap();
+
+    let engine = Arc::new(Engine::new());
+    let config = ServerConfig {
+        data_dir: Some(data_dir.clone()),
+        ..ServerConfig::default()
+    };
+    let handle = Server::bind("127.0.0.1:0", engine, config)
+        .unwrap()
+        .spawn()
+        .unwrap();
+    let mut client = Client::connect(handle.addr()).unwrap();
+    let ok = |reply: String| assert_eq!(reply, "+OK");
+    ok(client
+        .send_expect_one("CREATE flows shbf-m 4096 4")
+        .unwrap());
+    ok(client.send_expect_one("INSERT flows key-1").unwrap());
+    let reply = client.send_expect_one("LOAD wrapping.snap").unwrap();
+    assert!(reply.starts_with("-ERR"), "`LOAD` replied `{reply}`");
+    assert_eq!(client.send_expect_one("QUERY flows key-1").unwrap(), ":1");
+    assert_eq!(client.send_expect_one("PING").unwrap(), "+PONG");
+    drop(client);
+    handle.shutdown().unwrap();
+    std::fs::remove_dir_all(&data_dir).ok();
+}
