@@ -1,6 +1,7 @@
 //! Criterion microbench: scalar vs. batched membership queries, seeded vs.
-//! one-shot hashing, at an LLC-straddling filter size. The full cache-level
-//! sweep (with JSON output) lives in the `bench_batch` binary.
+//! one-shot hashing, at an LLC-straddling filter size. The benchmark of
+//! record for the same question is perfbench's `core.contains_ns` /
+//! `core.contains_batch_ns` ledger rows, at both query geometries.
 
 use std::hint::black_box;
 
@@ -21,7 +22,7 @@ fn keys(seed: u64, n: usize) -> Vec<[u8; 13]> {
         .collect()
 }
 
-fn bench_batch_query(c: &mut Criterion) {
+fn bench_query_batch(c: &mut Criterion) {
     let members = keys(1, N);
     let mut probes = keys(2, BATCH);
     // Half the probe batch hits, half misses.
@@ -65,7 +66,7 @@ fn bench_batch_query(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_batch_insert(c: &mut Criterion) {
+fn bench_insert_batch(c: &mut Criterion) {
     let members = keys(3, BATCH);
     let mut group = c.benchmark_group("batch_insert");
     let mut seeded = ShbfM::new(M, K, 9).unwrap();
@@ -85,5 +86,5 @@ fn bench_batch_insert(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_batch_query, bench_batch_insert);
+criterion_group!(benches, bench_query_batch, bench_insert_batch);
 criterion_main!(benches);

@@ -180,95 +180,9 @@ pub fn sci(x: f64) -> String {
     format!("{x:.3e}")
 }
 
-/// The `"timestamp"` and `"git_commit"` fields stamped into every
-/// `BENCH_*.json`, so an archived result is traceable to the tree state
-/// that produced it.
-pub fn provenance_json_fields() -> String {
-    format!(
-        "  \"timestamp\": \"{}\",\n  \"git_commit\": \"{}\",\n",
-        iso8601_utc_now(),
-        git_commit()
-    )
-}
-
-/// Current wall-clock time as `YYYY-MM-DDTHH:MM:SSZ` (UTC), std-only.
-pub fn iso8601_utc_now() -> String {
-    let secs = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_secs())
-        .unwrap_or(0);
-    let (y, m, d) = civil_from_days((secs / 86_400) as i64);
-    let tod = secs % 86_400;
-    format!(
-        "{y:04}-{m:02}-{d:02}T{:02}:{:02}:{:02}Z",
-        tod / 3600,
-        (tod / 60) % 60,
-        tod % 60
-    )
-}
-
-/// Proleptic-Gregorian date for a day count since 1970-01-01
-/// (Hinnant's `civil_from_days`).
-fn civil_from_days(z: i64) -> (i64, u32, u32) {
-    let z = z + 719_468;
-    let era = if z >= 0 { z } else { z - 146_096 } / 146_097;
-    let doe = (z - era * 146_097) as u64;
-    let yoe = (doe - doe / 1460 + doe / 36_524 - doe / 146_096) / 365;
-    let y = yoe as i64 + era * 400;
-    let doy = doe - (365 * yoe + yoe / 4 - yoe / 100);
-    let mp = (5 * doy + 2) / 153;
-    let d = (doy - (153 * mp + 2) / 5 + 1) as u32;
-    let m = if mp < 10 { mp + 3 } else { mp - 9 } as u32;
-    (if m <= 2 { y + 1 } else { y }, m, d)
-}
-
-/// Short commit hash of the checked-out tree; `"unknown"` when `git` is
-/// unavailable or this isn't a repository.
-pub fn git_commit() -> String {
-    std::process::Command::new("git")
-        .args(["rev-parse", "--short=12", "HEAD"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .and_then(|o| String::from_utf8(o.stdout).ok())
-        .map(|s| s.trim().to_string())
-        .filter(|s| !s.is_empty())
-        .unwrap_or_else(|| "unknown".into())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn civil_from_days_known_dates() {
-        assert_eq!(civil_from_days(0), (1970, 1, 1));
-        assert_eq!(civil_from_days(19_723), (2024, 1, 1)); // leap year
-        assert_eq!(civil_from_days(19_782), (2024, 2, 29));
-        assert_eq!(civil_from_days(20_300), (2025, 7, 31));
-        assert_eq!(civil_from_days(20_301), (2025, 8, 1));
-    }
-
-    #[test]
-    fn iso8601_shape() {
-        let ts = iso8601_utc_now();
-        let b = ts.as_bytes();
-        assert_eq!(b.len(), 20, "{ts}");
-        assert_eq!(b[4], b'-');
-        assert_eq!(b[7], b'-');
-        assert_eq!(b[10], b'T');
-        assert_eq!(b[13], b':');
-        assert_eq!(b[16], b':');
-        assert_eq!(b[19], b'Z');
-    }
-
-    #[test]
-    fn provenance_fields_are_json_lines() {
-        let fields = provenance_json_fields();
-        assert!(fields.contains("\"timestamp\": \""), "{fields}");
-        assert!(fields.contains("\"git_commit\": \""), "{fields}");
-        assert!(fields.ends_with(",\n"));
-    }
 
     #[test]
     fn scaled_applies_floor() {

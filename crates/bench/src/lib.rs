@@ -16,14 +16,8 @@
 
 #![forbid(unsafe_code)]
 
-pub mod batch;
 pub mod figs;
 pub mod harness;
-pub mod metrics_overhead;
-pub mod replication_bench;
-pub mod server_bench;
 pub mod speed;
-pub mod trace_overhead;
-pub mod which_bench;
 
 pub use harness::{RunConfig, Table};

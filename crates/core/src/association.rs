@@ -207,9 +207,7 @@ impl ShbfA {
         s2: &[U],
         cfg: ShbfABuilder,
     ) -> Result<Self, ShbfError> {
-        if cfg.k == 0 {
-            return Err(ShbfError::KZero);
-        }
+        crate::check_k(cfg.k)?;
         let max = MemoryModel::default().max_window();
         if !(3..=max).contains(&cfg.w_bar) {
             return Err(ShbfError::WBarOutOfRange {
@@ -256,9 +254,7 @@ impl ShbfA {
         if m == 0 {
             return Err(ShbfError::ZeroSize("m"));
         }
-        if k == 0 {
-            return Err(ShbfError::KZero);
-        }
+        crate::check_k(k)?;
         let max = MemoryModel::default().max_window();
         if !(3..=max).contains(&w_bar) {
             return Err(ShbfError::WBarOutOfRange { w_bar, max });

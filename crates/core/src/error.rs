@@ -10,6 +10,13 @@ pub enum ShbfError {
     KMustBeEven(usize),
     /// `k` (or a derived group count) must be positive.
     KZero,
+    /// `k` (or a sketch's row count) exceeds [`crate::MAX_K`].
+    KTooLarge {
+        /// requested number of positions
+        k: usize,
+        /// the bound, [`crate::MAX_K`]
+        max: usize,
+    },
     /// The generalized construction needs `k` divisible by `t + 1`.
     KNotDivisible {
         /// requested number of positions
@@ -50,6 +57,7 @@ impl std::fmt::Display for ShbfError {
                 write!(f, "ShBF_M requires an even k >= 2, got {k}")
             }
             ShbfError::KZero => write!(f, "k must be positive"),
+            ShbfError::KTooLarge { k, max } => write!(f, "k {k} exceeds the maximum {max}"),
             ShbfError::KNotDivisible { k, group } => {
                 write!(
                     f,

@@ -80,9 +80,7 @@ impl GenShbfM {
         if m == 0 {
             return Err(ShbfError::ZeroSize("m"));
         }
-        if k == 0 {
-            return Err(ShbfError::KZero);
-        }
+        crate::check_k(k)?;
         if t == 0 {
             return Err(ShbfError::ZeroSize("t"));
         }

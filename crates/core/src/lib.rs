@@ -65,6 +65,25 @@ pub use multiset::CShbfMs;
 pub use scm::ScmSketch;
 pub use traits::{CountEstimator, MembershipFilter};
 
+/// The largest `k` any structure accepts: hash positions for the
+/// filters, rows for [`ScmSketch`]. A seeded family allocates one seed
+/// per hash function and every update walks all `k` positions, so an
+/// unchecked `k` read from a blob or a `CREATE` line would size an
+/// allocation (`k = 2^40` asks for terabytes of seeds) or a loop. The
+/// bound sits far above the paper's optimal `k ≈ 0.7·m/n` (§3.4.2) at
+/// any useful fill, and above the largest geometry the tests use (600).
+pub const MAX_K: usize = 1024;
+
+/// The `k` step every structure's geometry check shares: `k` must lie in
+/// `1..=MAX_K`.
+pub(crate) fn check_k(k: usize) -> Result<(), ShbfError> {
+    match k {
+        0 => Err(ShbfError::KZero),
+        1..=MAX_K => Ok(()),
+        _ => Err(ShbfError::KTooLarge { k, max: MAX_K }),
+    }
+}
+
 /// Chunk size of the two-stage batch pipeline behind every `*_batch*`
 /// entry point: stage 1 hashes a chunk of keys and prefetches their target
 /// words, stage 2 probes. 32 keys × `k/2` pairs keeps the staged index

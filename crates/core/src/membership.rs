@@ -94,9 +94,7 @@ impl ShbfM {
         if m == 0 {
             return Err(ShbfError::ZeroSize("m"));
         }
-        if k == 0 {
-            return Err(ShbfError::KZero);
-        }
+        crate::check_k(k)?;
         if !k.is_multiple_of(2) {
             return Err(ShbfError::KMustBeEven(k));
         }

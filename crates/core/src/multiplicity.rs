@@ -142,9 +142,7 @@ impl ShbfX {
         if m == 0 {
             return Err(ShbfError::ZeroSize("m"));
         }
-        if k == 0 {
-            return Err(ShbfError::KZero);
-        }
+        crate::check_k(k)?;
         if c == 0 {
             return Err(ShbfError::ZeroSize("c"));
         }

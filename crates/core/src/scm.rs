@@ -73,6 +73,7 @@ impl ScmSketch {
         if d == 0 || r == 0 {
             return Err(ShbfError::ZeroSize("d/r"));
         }
+        crate::check_k(d)?;
         if !d.is_multiple_of(2) {
             return Err(ShbfError::KMustBeEven(d));
         }

@@ -375,12 +375,10 @@ impl Engine {
         // is timed on every dispatch (see the metrics module docs). One
         // `eval` call site keeps the untimed path free of duplicated
         // inlining.
-        let started =
-            if self.metrics.enabled() && self.metrics.count_and_should_time(CommandKind::of(cmd)) {
-                Some(std::time::Instant::now())
-            } else {
-                None
-            };
+        let started = self
+            .metrics
+            .count_and_should_time(CommandKind::of(cmd))
+            .then(std::time::Instant::now);
         let span = shbf_trace::span("engine");
         span.attr("cmd", CommandKind::of(cmd).label());
         let response = self.eval(cmd, scratch);
@@ -941,9 +939,6 @@ impl Engine {
     ) -> Response {
         let span = shbf_trace::span("batch_probe");
         span.attr("keys", keys.len());
-        if !self.metrics.enabled() {
-            return self.with_ns(ns, |n| mquery(n, keys, scratch));
-        }
         // The evented transport's coalesced QUERY groups ride the MQUERY
         // pipeline; count and time them under the same series an explicit
         // MQUERY of the batch would land in (batches amortize the clock,

@@ -5,9 +5,7 @@
 //! lifetime. The hot path touches only relaxed atomics; the slow-query
 //! log takes a mutex only for commands that actually exceed the
 //! configured threshold, and the command summary string is built lazily
-//! — fast commands never allocate. Instrumentation can be turned off
-//! wholesale with [`EngineMetrics::set_enabled`] (the bench harness
-//! uses this for before/after overhead rows).
+//! — fast commands never allocate.
 //!
 //! **Sampled timing.** Every dispatched command bumps its per-kind
 //! counter, but the wall-clock timing that feeds the latency histograms
@@ -15,16 +13,16 @@
 //! (`QUERY`/`COUNT`/`ASSOC`/`MSQUERY`/`WHICH`): one in [`SAMPLE_PERIOD`]
 //! is timed. A single-key read is a ~100 ns memory probe, so an
 //! unconditional `Instant::now()` pair (~50 ns) would tax the hot path
-//! by ~40%; sampling amortizes it to well under 3% while the histograms
-//! stay statistically faithful. Every other command is always timed:
-//! mutations (`INSERT`/`DELETE`/`MSINSERT`/`MSDELETE` included), whose
-//! cost under the durability lock — a WAL append, possibly an fsync —
-//! dwarfs the clock reads and is exactly what the slow-query log exists
-//! to catch, and batched or administrative commands (`MQUERY`,
-//! `MINSERT`, `CREATE`, `SNAPSHOT`, …).
+//! by ~40%; sampling amortizes it to under a nanosecond per read while
+//! the histograms stay statistically faithful. Every other command is
+//! always timed: mutations (`INSERT`/`DELETE`/`MSINSERT`/`MSDELETE`
+//! included), whose cost under the durability lock — a WAL append,
+//! possibly an fsync — dwarfs the clock reads and is exactly what the
+//! slow-query log exists to catch, and batched or administrative
+//! commands (`MQUERY`, `MINSERT`, `CREATE`, `SNAPSHOT`, …).
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
 use parking_lot::Mutex;
@@ -260,7 +258,6 @@ pub(crate) fn now_unix() -> u64 {
 /// / `SLOWLOG` commands.
 #[derive(Debug)]
 pub struct EngineMetrics {
-    enabled: AtomicBool,
     start: Instant,
     start_unix: u64,
     /// Dispatches per kind — every command, timed or not. The running
@@ -301,11 +298,9 @@ impl Default for EngineMetrics {
 }
 
 impl EngineMetrics {
-    /// Creates the metrics state; instrumentation starts enabled with the
-    /// default slow-query threshold.
+    /// Creates the metrics state with the default slow-query threshold.
     pub fn new() -> Self {
         EngineMetrics {
-            enabled: AtomicBool::new(true),
             start: Instant::now(),
             start_unix: now_unix(),
             dispatched: [const { AtomicU64::new(0) }; COMMAND_KINDS],
@@ -322,18 +317,6 @@ impl EngineMetrics {
             snapshot_unix: AtomicU64::new(0),
             replica_last_apply_unix: AtomicU64::new(0),
         }
-    }
-
-    /// Whether dispatch timing is recorded (on by default; the bench
-    /// harness flips this for overhead baselines).
-    #[inline]
-    pub fn enabled(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
-    }
-
-    /// Enables or disables dispatch timing.
-    pub fn set_enabled(&self, on: bool) {
-        self.enabled.store(on, Ordering::Relaxed);
     }
 
     /// Counts one dispatched command (timed or not).

@@ -30,6 +30,18 @@ pub const DEFAULT_MAX_COUNT: usize = 57;
 pub const DEFAULT_SETS: usize = 16;
 /// Default hash seed (the paper's year, like the CLI default).
 pub const DEFAULT_SEED: u64 = 0x5683_2016;
+/// The most memory one `CREATE` may ask for: 4 GiB of counters, query
+/// bits and per-array bookkeeping. [`Registry::build_backend`] sizes a
+/// request from its parameters before it allocates anything, so an absurd
+/// `m`, shard count or maximum count gets `-ERR` instead of aborting the
+/// server. (perfbench's largest namespace, 2^27 bits over 8 shards, needs
+/// 80 MiB.)
+const MAX_NAMESPACE_BYTES: u64 = 4 << 30;
+/// An upper bound on what one filter array costs besides its counters
+/// and bits: its struct, lock and allocator headers, and up to
+/// [`shbf_core::MAX_K`] hash seeds. A namespace of millions of tiny
+/// shards is sized by this, not by its bits.
+const ARRAY_OVERHEAD_BYTES: u64 = 1024 + 8 * shbf_core::MAX_K as u64;
 
 /// The filter instance behind a namespace.
 pub enum Backend {
@@ -425,8 +437,35 @@ impl Registry {
         Ok(())
     }
 
-    /// Builds the backend for `params` (shared by `CREATE` and tests).
+    /// An upper bound on the bytes `params`' filter arrays take: per
+    /// array, its logical bits plus under 64 bits of window padding, times
+    /// its counter width plus the query bit, plus [`ARRAY_OVERHEAD_BYTES`].
+    /// `None` when that overflows `u64`.
+    fn footprint(params: &CreateParams) -> Option<u64> {
+        let m = params.m as u64;
+        let (arrays, bits, counter_bits) = match params.kind {
+            KindSpec::Membership => {
+                let shards = params.extra.unwrap_or(DEFAULT_SHARDS).max(1) as u64;
+                (shards, (m / shards).max(64), 4)
+            }
+            KindSpec::Multiplicity => {
+                let c = params.extra.unwrap_or(DEFAULT_MAX_COUNT) as u64;
+                (1, m.checked_add(c)?, 8)
+            }
+            KindSpec::Association | KindSpec::MultiSet => (1, m, 4),
+        };
+        let per_array = bits.checked_add(64)?.checked_mul(counter_bits + 1)? / 8;
+        arrays.checked_mul(per_array.checked_add(ARRAY_OVERHEAD_BYTES)?)
+    }
+
+    /// Builds the backend for `params` (shared by `CREATE` and tests),
+    /// refusing one that would need more than [`MAX_NAMESPACE_BYTES`].
     pub fn build_backend(params: &CreateParams) -> Result<Backend, RegistryError> {
+        if Self::footprint(params).is_none_or(|bytes| bytes > MAX_NAMESPACE_BYTES) {
+            return Err(RegistryError::BadParams(
+                "namespace would need more than 4 GiB; lower m, the shard count or the max count",
+            ));
+        }
         let seed = params.seed.unwrap_or(DEFAULT_SEED);
         let family = family_kind(params.family);
         Ok(match params.kind {

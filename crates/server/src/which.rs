@@ -388,8 +388,8 @@ impl WhichTree {
         out
     }
 
-    /// `(which queries, tree nodes probed)` since startup — the bench and
-    /// `STATS server` read this to show the O(log N) descent cost.
+    /// `(which queries, tree nodes probed)` since startup — perfbench's ledger
+    /// and `STATS server` read this to show the O(log N) descent cost.
     pub fn probe_stats(&self) -> (u64, u64) {
         (
             self.queries.load(Ordering::Relaxed),

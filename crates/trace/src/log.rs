@@ -284,6 +284,15 @@ mod tests {
     }
 
     #[test]
+    fn civil_from_days_known_dates() {
+        assert_eq!(civil_from_days(0), (1970, 1, 1));
+        assert_eq!(civil_from_days(19_723), (2024, 1, 1)); // leap year
+        assert_eq!(civil_from_days(19_782), (2024, 2, 29));
+        assert_eq!(civil_from_days(20_300), (2025, 7, 31));
+        assert_eq!(civil_from_days(20_301), (2025, 8, 1));
+    }
+
+    #[test]
     fn timestamp_is_iso8601() {
         let ts = iso8601_utc_now();
         assert_eq!(ts.len(), 20, "{ts}");

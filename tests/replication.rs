@@ -233,6 +233,71 @@ fn replicas_full_sync_tail_and_answer_byte_identically() {
 }
 
 #[test]
+fn saturated_keys_delete_identically_after_a_full_resync() {
+    let wal_dir = temp_dir("sat");
+    let out_dir = temp_dir("sat-out");
+    let (primary_handle, primary_addr) = start_primary(&wal_dir);
+    let mut primary = Client::connect(primary_addr).unwrap();
+
+    // One key inserted 20 times: every 4-bit counter it maps to passes 15
+    // and sticks there. Neighbours share some of those counters.
+    expect_ok(&mut primary, "CREATE f shbf-m 8192 8 2 7");
+    for _ in 0..20 {
+        expect_ok(&mut primary, "INSERT f hot");
+    }
+    for i in 0..40 {
+        expect_ok(&mut primary, &format!("INSERT f warm-{i}"));
+    }
+
+    // The replica starts empty, so it full-resyncs onto the saturated
+    // counters and decodes them.
+    let replica_engine = Arc::new(Engine::new());
+    let config = ServerConfig {
+        replica_of: Some(primary_addr.to_string()),
+        ..ServerConfig::default()
+    };
+    let server = Server::bind("127.0.0.1:0", Arc::clone(&replica_engine), config).unwrap();
+    let replica_handle = server.spawn().unwrap();
+    let mut replica = Client::connect(replica_handle.addr()).unwrap();
+    await_caught_up(&mut replica, primary_last_seq(&mut primary));
+
+    // Deletes stream through the log tail: the hot key as many times as
+    // it was inserted, plus churn around it.
+    for i in 0..20 {
+        expect_ok(&mut primary, "DELETE f hot");
+        expect_ok(&mut primary, &format!("INSERT f churn-{i}"));
+        expect_ok(&mut primary, &format!("DELETE f warm-{i}"));
+        expect_ok(&mut primary, &format!("DELETE f churn-{i}"));
+    }
+    await_caught_up(&mut replica, primary_last_seq(&mut primary));
+
+    let p_snap = out_dir.join("primary.snap");
+    let r_snap = out_dir.join("replica.snap");
+    expect_ok(&mut primary, &format!("SNAPSHOT {}", p_snap.display()));
+    expect_ok(&mut replica, &format!("SNAPSHOT {}", r_snap.display()));
+    assert_eq!(
+        std::fs::read(&p_snap).unwrap(),
+        std::fs::read(&r_snap).unwrap(),
+        "the replica's counters diverge from the primary's at lag 0"
+    );
+    // The saturated counters never drop, so the key still answers.
+    assert_eq!(primary.send_expect_one("QUERY f hot").unwrap(), ":1");
+    assert_eq!(replica.send_expect_one("QUERY f hot").unwrap(), ":1");
+    // A replica that rejects a tail op resyncs from a fresh snapshot,
+    // which would hide a divergence from the comparison above.
+    assert_eq!(
+        replica_engine.metrics().resyncs.get(),
+        1,
+        "the replica resynced after rejecting a tail op"
+    );
+
+    replica_handle.shutdown().unwrap();
+    primary_handle.shutdown().unwrap();
+    std::fs::remove_dir_all(&wal_dir).ok();
+    std::fs::remove_dir_all(&out_dir).ok();
+}
+
+#[test]
 fn replicaof_verb_attaches_a_running_server() {
     let wal_dir = temp_dir("verb");
     let (primary_handle, primary_addr) = start_primary(&wal_dir);

@@ -11,9 +11,9 @@
 //! coalescing, vectored writev flushing, and UNIX-socket listener being
 //! invisible on the wire. It extends `tests/protocol_segmentation.rs`'s
 //! split-at-every-boundary replay to the writev path, and pins down
-//! mid-line disconnects, backpressure floods, and the eventfd-shutdown
-//! contract: bounded latency (no poll-timeout stall) with in-flight
-//! replies flushed before close.
+//! mid-line disconnects, backpressure floods, concurrent mixed sessions,
+//! and the eventfd-shutdown contract: bounded latency (no poll-timeout
+//! stall) with in-flight replies flushed before close.
 
 mod oracle;
 
@@ -430,6 +430,115 @@ fn stats_transport_counts_traffic_on_every_transport() {
         assert!(stats["accepted"] >= 2, "{case:?}: {stats:?}");
         assert!(stats["bytes_in"] > 0, "{case:?}: {stats:?}");
         assert!(stats["bytes_out"] > 0, "{case:?}: {stats:?}");
+        handle.shutdown().unwrap();
+    }
+}
+
+/// The mixed multi-namespace session's world: two static `shbf-m`
+/// namespaces bulk-loaded with `m-<i>` members, two empty churn
+/// namespaces.
+fn mixed_seed() -> Vec<String> {
+    let mut seed = Vec::new();
+    for ns in ["q0", "q1"] {
+        seed.push(format!("CREATE {ns} shbf-m 16384 8 4 11 family=one-shot"));
+        let members: Vec<String> = (0..512).map(|i| format!("m-{i}")).collect();
+        seed.push(format!("MINSERT {ns} {}", members.join(" ")));
+    }
+    for ns in ["c0", "c1"] {
+        seed.push(format!("CREATE {ns} shbf-m 8192 8 4 11 family=one-shot"));
+    }
+    seed
+}
+
+/// Client `c`'s mixed session, one pipelined round per element: an
+/// `MQUERY` on `q0`, `QUERY` runs on both static namespaces (the reactor
+/// coalesces each run into one batch ride), and `INSERT`-before-`DELETE`
+/// churn on `c0`/`c1` with keys no other client touches, so every reply
+/// is the same however the clients interleave.
+fn mixed_rounds(c: usize) -> Vec<Vec<u8>> {
+    // Members and misses alternate, so a reordered verdict shows.
+    let probe = |i: usize| {
+        if i.is_multiple_of(2) {
+            format!("m-{}", i % 512)
+        } else {
+            format!("x-{i}")
+        }
+    };
+    (0..64)
+        .map(|b| {
+            let q0 = |j: usize| probe(b * 7 + j + c);
+            let q1 = |j: usize| probe(b * 5 + j + c);
+            let lines = [
+                format!("MQUERY q0 {} {} {} {}", q0(0), q0(1), q0(2), q0(3)),
+                format!("QUERY q1 {}", q1(0)),
+                format!("QUERY q1 {}", q1(1)),
+                format!("INSERT c0 churn-{c}-{b}-a"),
+                format!("QUERY q0 {}", q0(2)),
+                format!("QUERY q0 {}", q0(3)),
+                format!("INSERT c1 churn-{c}-{b}-b"),
+                format!("QUERY q1 {}", q1(2)),
+                format!("QUERY q1 {}", q1(3)),
+                format!("DELETE c0 churn-{c}-{b}-a"),
+                format!("DELETE c1 churn-{c}-{b}-b"),
+            ];
+            (lines.join("\r\n") + "\r\n").into_bytes()
+        })
+        .collect()
+}
+
+#[test]
+fn concurrent_mixed_sessions_match_the_oracle_on_tcp_and_unix() {
+    const CLIENTS: usize = 4;
+    let seed = mixed_seed();
+    let seed: Vec<&str> = seed.iter().map(String::as_str).collect();
+    let scripts: Vec<Vec<Vec<u8>>> = (0..CLIENTS).map(mixed_rounds).collect();
+    let references: Vec<Vec<u8>> = scripts
+        .iter()
+        .map(|rounds| oracle::replies(&seed, &rounds.concat()))
+        .collect();
+    for socket in SOCKETS {
+        let handle = start(socket);
+        let mut admin = Client::connect_endpoint(handle.endpoint()).unwrap();
+        for cmd in &seed {
+            let reply = admin.send_expect_one(cmd).unwrap();
+            assert!(!reply.starts_with('-'), "seed `{cmd}` failed: {reply}");
+        }
+        let start_line = Arc::new(std::sync::Barrier::new(CLIENTS));
+        let clients: Vec<_> = scripts
+            .iter()
+            .cloned()
+            .map(|rounds| {
+                let stream = handle.endpoint().connect().unwrap();
+                let start_line = Arc::clone(&start_line);
+                std::thread::spawn(move || {
+                    stream.set_nodelay(true).unwrap();
+                    stream
+                        .set_read_timeout(Some(Duration::from_secs(30)))
+                        .unwrap();
+                    let mut writer = stream.try_clone().unwrap();
+                    start_line.wait();
+                    let sender = std::thread::spawn(move || {
+                        for round in &rounds {
+                            writer.write_all(round).unwrap();
+                        }
+                        writer.shutdown(std::net::Shutdown::Write).unwrap();
+                    });
+                    let mut got = Vec::new();
+                    let mut reader = stream;
+                    reader.read_to_end(&mut got).unwrap();
+                    sender.join().unwrap();
+                    got
+                })
+            })
+            .collect();
+        for (c, (client, reference)) in clients.into_iter().zip(&references).enumerate() {
+            let got = client.join().unwrap();
+            assert_eq!(
+                String::from_utf8_lossy(&got),
+                String::from_utf8_lossy(reference),
+                "{socket:?}: client {c}'s replies diverge from the oracle"
+            );
+        }
         handle.shutdown().unwrap();
     }
 }
